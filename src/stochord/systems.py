@@ -59,7 +59,9 @@ class SystemSpec:
         return f"{self.structure}[{', '.join(c.label for c in self.components)}]"
 
     def _chf_total(self, x: np.ndarray) -> np.ndarray:
-        return sum(np.asarray(c.cumulative_hazard(x)) for c in self.components)
+        # finite component hazards near 1e308 may sum to inf; sf is then 0
+        with np.errstate(over="ignore"):
+            return sum(np.asarray(c.cumulative_hazard(x)) for c in self.components)
 
     def _log_cdf_total(self, x: np.ndarray) -> np.ndarray:
         return sum(np.asarray(c.log_cdf(x)) for c in self.components)

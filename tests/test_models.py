@@ -23,6 +23,7 @@ from stochord import (
     OddsFn,
     WeibullG,
 )
+from stochord.models import _support_upper
 
 WG_GRID = np.linspace(0.01, 1.2, 64)
 GM_GRID = np.linspace(0.01, 1.5, 64)
@@ -173,6 +174,40 @@ class TestSupportUpper:
     def test_rejects_bad_tail(self):
         with pytest.raises(ValueError):
             WeibullG(1.0, 1.0, 1.0).support_upper(0.0)
+
+    @pytest.mark.parametrize("model", [
+        WeibullG(4.8, 3.0, 2.5),
+        WeibullG(0.25, 0.8, 0.5),
+        GompertzMakeham(4.8, 2.5, 1.0),
+        GompertzMakeham(0.2, 0.3, 0.1),
+    ])
+    @pytest.mark.parametrize("tail", [1e-6, 1e-12])
+    def test_call_budget(self, model, tail):
+        # one power-of-two probe plus 8 section rounds; scalar bisection
+        # would make 81 calls
+        calls = []
+
+        def counting_sf(x):
+            calls.append(x)
+            return model.sf(x)
+
+        _support_upper(counting_sf, tail)
+        assert len(calls) <= 10
+
+    @pytest.mark.parametrize("step", [3.7, 1e-9])
+    def test_step_sf_returns_the_exact_step(self, step):
+        # 1e-9 lies below the first probe 2**-20, so the bracket starts at 0
+        def step_sf(x):
+            return np.where(np.asarray(x) < step, 1.0, 0.0)
+
+        assert _support_upper(step_sf, 0.5) == step
+
+    def test_convergence_error_when_tail_unreachable(self):
+        def flat_sf(x):
+            return np.full_like(np.asarray(x, dtype=float), 0.5)
+
+        with pytest.raises(ConvergenceError):
+            _support_upper(flat_sf, 1e-6)
 
 
 class TestDomainAndValidation:

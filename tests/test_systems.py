@@ -3,8 +3,12 @@ independent components, including frozen two-component reference values
 pinned from 40-digit mpmath evaluations.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from stochord import (
@@ -179,6 +183,42 @@ class TestDensityConsistency:
         upper = WG_SOURCE.support_upper(1e-6)
         assert float(WG_SOURCE.sf(upper)) <= 1e-6
         assert float(WG_SOURCE.sf(0.99 * upper)) > 1e-6
+
+
+_WG_COMPONENT = st.builds(WeibullG, st.floats(0.1, 5.0), st.floats(0.3, 5.0), st.floats(0.3, 5.0))
+_GM_COMPONENT = st.builds(GompertzMakeham, st.floats(0.05, 3.0), st.floats(0.1, 3.0),
+                          st.floats(0.05, 3.0))
+
+
+@st.composite
+def _lifetimes(draw):
+    """A bare model, or a series or parallel system of one family."""
+    component = draw(st.sampled_from([_WG_COMPONENT, _GM_COMPONENT]))
+    structure = draw(st.sampled_from([None, "series", "parallel"]))
+    if structure is None:
+        return draw(component)
+    return SystemSpec(tuple(draw(st.lists(component, min_size=1, max_size=6))), structure)
+
+
+class TestTailSearch:
+    @given(_lifetimes(), st.sampled_from([1e-6, 1e-12]))
+    @settings(max_examples=150, deadline=None)
+    def test_one_ulp_bracket(self, lifetime, tail):
+        upper = lifetime.support_upper(tail)
+        # evaluated as an array, as the search and the grids do: numpy's
+        # array power loop may round differently from scalar pow in the last place
+        below, at = lifetime.sf(np.array([np.nextafter(upper, 0.0), upper]))
+        assert at <= tail < below
+
+    def test_no_overflow_warning_when_hazards_sum_past_float_range(self):
+        # at x = 2**60 the finite component hazards sum past the float range
+        system = SystemSpec((WeibullG(1.19065, 3.041, 0.934099), WeibullG(3.94072, 3.041, 1.60887),
+                             WeibullG(4.4378, 3.041, 3.62967), WeibullG(4.5573, 3.041, 3.63883)),
+                            "series")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            upper = system.support_upper(1e-6)
+        assert system.sf(np.array([upper]))[0] <= 1e-6
 
 
 class TestLambdaAggregate:
