@@ -19,6 +19,9 @@ and survival function
 
     S(x) = exp(-lambda x - (alpha / beta)(e^{beta x} - 1)).
 
+Its quantile has no closed form; Newton's method on the convex
+cumulative hazard finds it from a closed-form upper bound.
+
 Both model classes expose the same evaluation surface (``cdf``, ``sf``,
 ``pdf``, ``hazard``, ``reversed_hazard``, ``cumulative_hazard``,
 ``quantile``, ``support_upper``), which is what the system and order
@@ -49,12 +52,19 @@ BASELINE_KINDS = ("exponential-standard", "user-supplied")
 
 
 def _as_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)
+    """x as a float array, with a scalar as a one-element array.
+
+    numpy turns 0-d operands into scalars, whose power rounds differently
+    from the array loop in the last place; evaluating a scalar as one
+    element keeps scalar and array results bit-identical.
+    """
+    xa = np.asarray(x, dtype=float)
+    return xa if xa.ndim else xa.reshape(1)
 
 
 def _match(x_in, out: np.ndarray):
     """Return a float for scalar input, the array otherwise."""
-    return out if np.ndim(x_in) else float(out)
+    return out if np.ndim(x_in) else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -330,10 +340,29 @@ class GompertzMakeham:
         return _match(x, np.asarray(self.pdf(xa)) / cdf)
 
     def quantile(self, u):
-        """Inverse cdf on 0 < u < 1 by bracketed bisection."""
+        """Inverse cdf on 0 < u < 1, by Newton's method on the cumulative hazard.
+
+        Solves H(x) = y with y = -log(1 - u). The start
+        x0 = min(y / lambda, log1p(y beta / alpha) / beta) lies at or above
+        the root, because H(x) >= lambda x and
+        H(x) >= (alpha / beta)(e^{beta x} - 1). H is increasing and convex,
+        so Newton steps x <- x - (H(x) - y) / r(x) taken from above
+        decrease monotonically to the root. Each round keeps the smaller of
+        the old and new iterate, and the iteration stops once no element
+        decreases. Raises ConvergenceError if the residual |cdf(x) - u|
+        is above 1e-12 after at most 200 rounds.
+        """
         ua = _as_array(u)
         _validate_unit_open(ua)
-        return _match(u, _invert_cdf(self.cdf, ua))
+        y = -np.log1p(-ua)
+        x = np.minimum(y / self.lam, np.log1p(y * self.beta / self.alpha) / self.beta)
+        for _ in range(_QUANTILE_MAX_ITER):
+            newton = x - (self.cumulative_hazard(x) - y) / self.hazard(x)
+            if not np.any(newton < x):
+                break
+            x = np.minimum(newton, x)
+        _check_residual(self.cdf(x), ua)
+        return _match(u, x)
 
     def support_upper(self, tail: float = 1e-6) -> float:
         return _support_upper(self.sf, tail)
@@ -344,9 +373,20 @@ def _validate_unit_open(u: np.ndarray) -> None:
         raise ValueError("quantile argument must satisfy 0 < u < 1")
 
 
+def _check_residual(cdf_at_x, u: np.ndarray) -> None:
+    """Raise ConvergenceError if |cdf(x) - u| exceeds 1e-12 anywhere."""
+    residual = np.abs(np.asarray(cdf_at_x) - u)
+    worst = float(np.max(residual)) if residual.size else 0.0
+    if not worst <= _QUANTILE_RESIDUAL:
+        raise ConvergenceError(f"quantile residual {worst:.3e} above {_QUANTILE_RESIDUAL:.0e}")
+
+
 def _invert_cdf(cdf: Callable, u: np.ndarray) -> np.ndarray:
     """Solve cdf(x) = u elementwise on a (0, hi] bracket.
 
+    The quantile of Weibull-G with a user-supplied baseline is its only
+    caller: such a cumulative hazard need not be convex and has no
+    closed-form bound on the root, so Newton's method has no safe start.
     Doubles hi until it covers max(u), then bisects. Raises
     ConvergenceError if the bracket search or the residual tolerance
     (1e-12 on |cdf(x) - u|) is not met within the iteration budget.
@@ -370,10 +410,7 @@ def _invert_cdf(cdf: Callable, u: np.ndarray) -> np.ndarray:
         if np.all(hi_arr - lo_arr <= 4.0 * np.finfo(float).eps * np.maximum(hi_arr, 1e-300)):
             break
     x = 0.5 * (lo_arr + hi_arr)
-    residual = np.abs(np.asarray(cdf(x)) - u)
-    worst = float(np.max(residual)) if residual.size else 0.0
-    if worst > _QUANTILE_RESIDUAL:
-        raise ConvergenceError(f"quantile residual {worst:.3e} above {_QUANTILE_RESIDUAL:.0e}")
+    _check_residual(cdf(x), u)
     return x
 
 
@@ -389,9 +426,7 @@ def _support_upper(sf: Callable, tail: float) -> float:
     search stops when no float lies strictly between lo and hi, which
     takes 8 rounds from a power-of-two bracket, so 9 sf calls in all.
 
-    The result x satisfies sf(x) <= tail < sf(np.nextafter(x, 0)) with
-    sf evaluated on arrays, as the search and the grids evaluate it;
-    numpy's scalar power may round differently in the last place.
+    The result x satisfies sf(x) <= tail < sf(np.nextafter(x, 0)).
     Raises ConvergenceError if sf is still above the tail at 2**60.
     """
     if not 0.0 < tail < 1.0:

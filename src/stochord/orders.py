@@ -100,7 +100,8 @@ class OrderVerdict:
     consecutive increment. The order holds when margin >= -tolerance;
     ``witness_x`` pins the failing abscissa otherwise. ``truncated``
     marks ratio or log paths that were shortened because a survival or
-    density value underflowed before the grid end.
+    density value underflowed before the grid end, and verdicts that
+    excluded grid points where the slack was not finite.
     """
 
     order: str
@@ -117,6 +118,12 @@ def _default_tolerance(scale: float) -> float:
     return max(1e-9, 1e-7 * scale)
 
 
+def _finite_scale(*values: np.ndarray) -> float:
+    """Largest finite |value| across the arrays, the default tolerance's scale."""
+    return max(float(np.max(np.abs(v), where=np.isfinite(v), initial=1e-300))
+               for v in values)
+
+
 def _finish(
     order: str,
     slack: np.ndarray,
@@ -126,6 +133,12 @@ def _finish(
     method: str,
     truncated: bool,
 ) -> OrderVerdict:
+    """Judge the slack; points where it is not finite are excluded and truncate."""
+    finite = np.isfinite(slack)
+    if not finite.all():
+        slack, witness_pool, truncated = slack[finite], witness_pool[finite], True
+    if slack.size == 0:
+        raise EvaluationDomainError(f"no grid point has a finite {order} slack")
     tol = _default_tolerance(scale) if tolerance is None else float(tolerance)
     worst = int(np.argmin(slack))
     margin = float(slack[worst])
@@ -154,7 +167,7 @@ def certify_st(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
     sf_f = np.asarray(f.sf(xs))
     sf_g = np.asarray(g.sf(xs))
     slack = sf_g - sf_f
-    scale = float(max(np.abs(sf_f).max(), np.abs(sf_g).max(), 1e-300))
+    scale = _finite_scale(sf_f, sf_g)
     return _finish("st", slack, xs, tolerance, scale, "sf-pointwise", False)
 
 
@@ -177,8 +190,9 @@ def certify_hr(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
     if method == "hazard":
         r_f = np.asarray(f.hazard(xs))
         r_g = np.asarray(g.hazard(xs))
-        slack = r_f - r_g
-        scale = float(max(np.abs(r_f).max(), np.abs(r_g).max(), 1e-300))
+        with np.errstate(invalid="ignore"):
+            slack = r_f - r_g
+        scale = _finite_scale(r_f, r_g)
         return _finish("hr", slack, xs, tolerance, scale, "hazard", False)
 
     sf_f = np.asarray(f.sf(xs))
@@ -192,7 +206,7 @@ def certify_hr(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
         raise EvaluationDomainError("survival underflow leaves fewer than two usable grid points")
     ratio = ratio[:cut]
     slack = np.diff(ratio)
-    scale = float(max(np.abs(ratio).max(), 1e-300))
+    scale = _finite_scale(ratio)
     return _finish("hr", slack, xs[1:cut], tolerance, scale, "sf-ratio", truncated)
 
 
@@ -216,7 +230,7 @@ def certify_rh(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
     rh_f = np.asarray(f.reversed_hazard(xs_kept))
     rh_g = np.asarray(g.reversed_hazard(xs_kept))
     slack = rh_g - rh_f
-    scale = float(max(np.abs(rh_f).max(), np.abs(rh_g).max(), 1e-300))
+    scale = _finite_scale(rh_f, rh_g)
     return _finish("rh", slack, xs_kept, tolerance, scale, "reversed-hazard", truncated)
 
 
@@ -239,7 +253,7 @@ def certify_lr(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
         raise EvaluationDomainError("density underflow leaves fewer than two usable grid points")
     log_ratio = np.log(pdf_g[keep]) - np.log(pdf_f[keep])
     slack = np.diff(log_ratio)
-    scale = float(max(np.abs(log_ratio).max(), 1e-300))
+    scale = _finite_scale(log_ratio)
     return _finish("lr", slack, xs_kept[1:], tolerance, scale, "log-pdf-ratio", truncated)
 
 

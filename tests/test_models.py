@@ -7,6 +7,7 @@ closed forms.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +158,50 @@ class TestQuantile:
         for model in (WeibullG(1.5, 2.0, 0.8), GompertzMakeham(0.4, 0.9, 2.0)):
             q = np.asarray(model.quantile(u))
             assert np.all(np.diff(q) > 0.0)
+
+    @pytest.mark.parametrize("model", [
+        GompertzMakeham(1.0, 1.0, 1.0),
+        GompertzMakeham(4.8, 2.5, 1.0),
+        GompertzMakeham(1e-3, 1e2, 1e-3),
+        GompertzMakeham(1e2, 1e-3, 1e2),
+    ])
+    def test_gompertz_makeham_within_4_ulp_of_exact_root(self, model):
+        # bisection on the flat upper cdf was off by ~1e14 ulp at 1 - 2**-53
+        levels = [np.finfo(float).eps, 1e-10, 0.5, 1.0 - 1e-10, 1.0 - 2.0**-53]
+        got = np.asarray(model.quantile(np.array(levels)))
+        with mpmath.workdps(60):
+            a, b, lam = (mpmath.mpf(v) for v in (model.alpha, model.beta, model.lam))
+            for u, x in zip(levels, got):
+                y = -mpmath.log1p(-mpmath.mpf(u))
+                root = mpmath.findroot(lambda t: lam * t + a / b * mpmath.expm1(b * t) - y,
+                                       mpmath.mpf(float(x)))
+                assert abs(mpmath.mpf(float(x)) - root) <= 4 * np.spacing(float(root))
+
+    def test_gompertz_makeham_call_budget(self, monkeypatch):
+        # Newton from above converges in a few rounds; bisection took ~55 cdf calls
+        calls = []
+        evaluate = GompertzMakeham.cumulative_hazard
+
+        def counting(self, x):
+            calls.append(x)
+            return evaluate(self, x)
+
+        monkeypatch.setattr(GompertzMakeham, "cumulative_hazard", counting)
+        u = np.random.default_rng(7).random(100_000)
+        u[:2] = np.finfo(float).eps, np.nextafter(1.0, 0.0)
+        for model in (GompertzMakeham(4.8, 2.5, 1.0), GompertzMakeham(1e-3, 1e2, 1e-3),
+                      GompertzMakeham(1e2, 1e-3, 1e2), GompertzMakeham(0.2, 0.3, 0.1)):
+            calls.clear()
+            model.quantile(u)
+            assert len(calls) <= 10
+
+    def test_gompertz_makeham_residual_check_raises(self):
+        class Skewed(GompertzMakeham):
+            def cdf(self, x):
+                return np.asarray(super().cdf(x)) + 1e-9
+
+        with pytest.raises(ConvergenceError):
+            Skewed(1.0, 1.0, 1.0).quantile(np.array([0.25, 0.5]))
 
 
 class TestSupportUpper:

@@ -7,14 +7,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from stochord import (
+    ORDERS,
     EvaluationDomainError,
     GompertzMakeham,
     Grid,
     OrderVerdict,
     SchurDiagnostics,
+    SystemSpec,
     WeibullG,
     certify,
     certify_hr,
@@ -148,6 +152,49 @@ class TestCertifiers:
         assert isinstance(verdict, OrderVerdict)
         with pytest.raises(AttributeError):
             verdict.holds = False
+
+
+_WG_COMPONENT = st.builds(WeibullG, st.floats(0.1, 5.0), st.floats(0.3, 5.0), st.floats(0.3, 5.0))
+_GM_COMPONENT = st.builds(GompertzMakeham, st.floats(0.05, 3.0), st.floats(0.1, 3.0),
+                          st.floats(0.05, 3.0))
+
+
+@st.composite
+def _parallel_pairs(draw):
+    component = draw(st.sampled_from([_WG_COMPONENT, _GM_COMPONENT]))
+    f, g = (SystemSpec(tuple(draw(st.lists(component, min_size=1, max_size=4))), "parallel")
+            for _ in range(2))
+    return f, g
+
+
+class TestNonFiniteSlack:
+    def test_parallel_reference_example_fails_hr_with_finite_margin(self):
+        # the parallel hazard is inf where sf underflows: margin -inf and
+        # tolerance inf used to read as holds. The exact slack is below -142
+        # on the last tenth of the grid (mpmath); the worst finite grid value
+        # sits where one sf is a few ulp, so only its sign is pinned.
+        f = SystemSpec((WeibullG(4.8, 3.0, 2.5), WeibullG(3.4, 3.0, 1.6)), "parallel")
+        g = SystemSpec((WeibullG(4.03, 3.0, 2.005), WeibullG(4.17, 3.0, 2.095)), "parallel")
+        verdict = certify_hr(f, g)
+        assert not verdict.holds and verdict.truncated
+        assert -1e3 < verdict.margin < -142.0
+        assert math.isfinite(verdict.tolerance) and verdict.tolerance < 1e-3
+        assert verdict.grid_count < 2048
+
+    @given(_parallel_pairs(), st.sampled_from(ORDERS), st.sampled_from([None, 10.0, 50.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_verdicts_on_parallel_systems_are_finite(self, pair, order, x_max):
+        # x_max past the support drives the hazards to inf - inf
+        grid = Grid.for_models(*pair, count=256, x_max=x_max)
+        verdict = certify(order, *pair, grid=grid)
+        assert math.isfinite(verdict.margin) and math.isfinite(verdict.tolerance)
+        assert verdict.holds == (verdict.margin >= -verdict.tolerance)
+
+    def test_no_finite_slack_raises(self):
+        nowhere = Grid(points=np.geomspace(1e3, 1e4, 16))
+        with pytest.raises(EvaluationDomainError):
+            certify_hr(SystemSpec((SMALLER,), "parallel"), SystemSpec((LARGER,), "parallel"),
+                       grid=nowhere)
 
 
 class TestImplicationChain:

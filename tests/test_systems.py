@@ -205,10 +205,7 @@ class TestTailSearch:
     @settings(max_examples=150, deadline=None)
     def test_one_ulp_bracket(self, lifetime, tail):
         upper = lifetime.support_upper(tail)
-        # evaluated as an array, as the search and the grids do: numpy's
-        # array power loop may round differently from scalar pow in the last place
-        below, at = lifetime.sf(np.array([np.nextafter(upper, 0.0), upper]))
-        assert at <= tail < below
+        assert lifetime.sf(upper) <= tail < lifetime.sf(np.nextafter(upper, 0.0))
 
     def test_no_overflow_warning_when_hazards_sum_past_float_range(self):
         # at x = 2**60 the finite component hazards sum past the float range
@@ -219,6 +216,29 @@ class TestTailSearch:
             warnings.simplefilter("error", RuntimeWarning)
             upper = system.support_upper(1e-6)
         assert system.sf(np.array([upper]))[0] <= 1e-6
+
+
+class TestScalarArrayAgreement:
+    # numpy's 0-d power rounds differently from its array loop in the last
+    # place; scalars are evaluated as one-element arrays to match
+    @given(_lifetimes(), st.lists(st.floats(0.01, 3.0), min_size=2, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_evaluators_are_bit_identical(self, lifetime, xs):
+        methods = ["sf", "cdf", "pdf", "hazard", "reversed_hazard"]
+        if not isinstance(lifetime, SystemSpec):
+            methods += ["cumulative_hazard", "log_cdf"]
+        xa = np.array(xs)
+        for name in methods:
+            evaluate = getattr(lifetime, name)
+            scalars = np.array([evaluate(x) for x in xs])
+            assert np.array_equal(scalars, evaluate(xa), equal_nan=True), name
+
+    @given(st.one_of(_WG_COMPONENT, _GM_COMPONENT),
+           st.lists(st.floats(1e-12, 1.0 - 1e-12), min_size=2, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_quantile_is_bit_identical(self, model, us):
+        scalars = np.array([model.quantile(u) for u in us])
+        assert np.array_equal(scalars, model.quantile(np.array(us)))
 
 
 class TestLambdaAggregate:
