@@ -74,11 +74,7 @@ from .systems import (
     STRUCTURES,
     SystemSpec,
     lambda_aggregate_sf,
-    parallel_reversed_hazard,
     parallel_reversed_hazard_factored,
-    series_hazard,
-    system_cdf,
-    system_sf,
 )
 
 __version__ = "0.1.0"
@@ -131,7 +127,6 @@ __all__ = [
     "ks_distance",
     "lambda_aggregate_sf",
     "majorize_check",
-    "parallel_reversed_hazard",
     "parallel_reversed_hazard_factored",
     "pn_membership",
     "reversed_hazard_weight",
@@ -139,7 +134,4 @@ __all__ = [
     "sample",
     "sample_system",
     "schur_condition_check",
-    "series_hazard",
-    "system_cdf",
-    "system_sf",
 ]

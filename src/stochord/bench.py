@@ -39,19 +39,44 @@ Reversed-hazard comparisons are certified on a grid spanning 2.5 decades
 below x_max rather than the default 4: both reversed hazards diverge
 like 1/x near the origin, and the narrower window keeps the certified
 difference clear of float cancellation noise at the pinned tolerance.
+
+A scenario runs as one batch, in three phases:
+
+1. Draw every instance up front, each from its own generator seeded
+   with ``SeedSequence((seed, index))``, in the same draw order as a
+   single instance would use. A draw holds its systems as (3, n)
+   parameter rows and the pairs of systems its claim orders.
+2. Find every grid end in one row-wise tail search per component count:
+   the systems whose tails set the grid (both ends of a chain, both
+   systems of a pair, the first system of T4.4) are stacked as (S, n)
+   parameter arrays and searched together by ``models._support_upper``.
+3. Build the grids and certify: draws of one component count are taken
+   in blocks of at most 8 systems (at the default 2048 grid points), each
+   system is evaluated on its draw's grid row through one SystemStack, and
+   ``orders.certify_rows`` judges every pair row by row.
+
+The report is assembled in index order. Each row of every phase is
+bit-identical to evaluating, searching and certifying that instance on
+its own with SystemSpec, Grid.for_models and certify_st, certify_hr or
+certify_rh.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GenerationError
 from .majorization import TTransform, apply_t_transform, generate_hypothesis_pair, pn_membership
-from .models import GompertzMakeham, WeibullG
-from .orders import Grid, OrderVerdict, certify_hr, certify_rh, certify_st
-from .systems import SystemSpec, lambda_aggregate_sf
+from .models import ComponentStack, GompertzMakeham, WeibullG, _support_upper
+from .orders import _SPAN_DECADES, OrderVerdict, certify_rows, grid_points
+# the single-pair certifiers stay in this namespace, where perfbench's tracer
+# and its self-tests look them up
+from .orders import certify_hr, certify_rh, certify_st  # noqa: F401
+from .systems import SystemStack, lambda_aggregate_sf
 
 SCENARIO_IDS = (
     "T3.1", "T3.2", "T3.3", "T3.4", "T3.5",
@@ -108,6 +133,11 @@ _SWEEP_TOL = 1e-12
 _AGGREGATE_REL_TOL = 1e-15
 _RH_SPAN_DECADES = 2.5
 _DYADIC = 2.0**20
+_TAIL = 1e-6  # the grid end's tail probability, as in Grid.for_models
+# grid cells evaluated together: blocks of 8 systems at the default 2048
+# points keep each slab array at 128 KiB, and peak memory near that of
+# certifying one instance at a time
+_SLAB_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -224,158 +254,145 @@ def _chain_matrices(
     return mats
 
 
-def _wg_series(matrix: np.ndarray, beta: float) -> SystemSpec:
-    comps = tuple(
-        WeibullG(alpha=float(matrix[0, i]), beta=beta, gamma=float(matrix[1, i]))
-        for i in range(matrix.shape[1])
-    )
-    return SystemSpec(comps, "series")
+def _params(first, second, third) -> np.ndarray:
+    """(3, n) parameter rows in the family's declaration order: Weibull-G
+    (alpha; beta; gamma), Gompertz-Makeham (alpha; beta; lambda). Each row
+    is an n-vector or a value shared by every component."""
+    out = np.empty((3, max(np.size(first), np.size(second), np.size(third))))
+    out[0], out[1], out[2] = first, second, third
+    return out
 
 
-def _gm_series(matrix: np.ndarray, lam: float) -> SystemSpec:
-    comps = tuple(
-        GompertzMakeham(alpha=float(matrix[0, i]), beta=float(matrix[1, i]), lam=lam)
-        for i in range(matrix.shape[1])
-    )
-    return SystemSpec(comps, "series")
+def _stack(family: type, structure: str, params: list[np.ndarray]) -> SystemStack:
+    """The systems with these (3, n) parameter rows, stacked in order."""
+    rows = np.stack(params)
+    return SystemStack(structure, [ComponentStack(family, tuple(rows[:, p, :] for p in range(3)))])
 
 
-def _series_hazard_curve(source: SystemSpec, transformed: SystemSpec, xs: np.ndarray) -> CurveSample:
-    lhs = np.asarray(source.hazard(xs))
-    rhs = np.asarray(transformed.hazard(xs))
-    return CurveSample(x=xs, lhs=lhs, rhs=rhs, diff=lhs - rhs,
-                       lhs_label="hazard_source", rhs_label="hazard_transformed")
+class _Plan(NamedTuple):
+    """What one scenario certifies: its systems' family and structure, the
+    order and the grid span."""
+
+    family: type
+    structure: str
+    order: str
+    span_decades: float = _SPAN_DECADES
 
 
-@dataclass
-class _InstanceResult:
-    ok: bool
-    margin: float
-    witness_x: float | None
-    detail: str
-    curve: CurveSample | None = None
+_PLANS = {
+    **{sid: _Plan(WeibullG, "series", "hr") for sid in ("T3.1", "T3.2", "T3.3")},
+    **{sid: _Plan(GompertzMakeham, "series", "hr") for sid in ("T4.1", "T4.2", "T4.3")},
+    "T3.4": _Plan(WeibullG, "parallel", "rh", _RH_SPAN_DECADES),
+    "T3.5": _Plan(WeibullG, "parallel", "st"),
+    "T4.4": _Plan(GompertzMakeham, "series", "st"),
+    "T4.5": _Plan(GompertzMakeham, "parallel", "st"),
+}
+_QUANTITY = {"hr": "hazard", "rh": "reversed_hazard", "st": "sf"}
+_CURVE_LABELS = {
+    "hr": ("hazard_source", "hazard_transformed"),
+    "rh": ("reversed_hazard_x", "reversed_hazard_y"),
+    "st": ("sf_x", "sf_y"),
+}
 
 
-def _worst_verdict(verdicts: list[OrderVerdict]) -> OrderVerdict:
-    return min(verdicts, key=lambda v: v.margin)
+class _Draw(NamedTuple):
+    """One drawn instance.
+
+    ``systems`` holds each system's (3, n) parameter rows in the family's
+    declaration order. Each pair (i, j) of ``pairs`` is a verdict that
+    system i lies below system j in the plan's order; ``tail`` names the
+    systems whose tail points set the grid end. ``judge`` turns the
+    verdicts and the grid into (ok, failure detail); ``curve``, if set,
+    replaces the exported curve of the first and last system.
+    """
+
+    systems: list[np.ndarray]
+    pairs: list[tuple[int, int]]
+    judge: Callable[[list[OrderVerdict], np.ndarray], tuple[bool, str]]
+    tail: tuple[int, ...] = (0, -1)
+    curve: Callable[[np.ndarray], CurveSample] | None = None
 
 
-def _hr_chain_instance(
+def _holds_or(detail: str):
+    def judge(verdicts: list[OrderVerdict], xs: np.ndarray) -> tuple[bool, str]:
+        ok = all(v.holds for v in verdicts)
+        return ok, "" if ok else detail
+    return judge
+
+
+def _draw_hr_chain(
     scenario: TheoremScenario,
     rng: np.random.Generator,
-    family: str,
+    family: type,
     n_range: tuple[int, int],
     k_range: tuple[int, int],
     disabled: str | None,
     pinned: bool,
-    want_curve: bool,
-) -> _InstanceResult:
-    sweep_checked = True
+) -> _Draw:
     if pinned:
         mats = [EXAMPLE_MATRIX, apply_t_transform(EXAMPLE_MATRIX, EXAMPLE_TRANSFORM)]
-        shared = EXAMPLE_WG_BETA if family == "wg" else EXAMPLE_GM_LAM
+        shared = EXAMPLE_WG_BETA if family is WeibullG else EXAMPLE_GM_LAM
     else:
         n = scenario.n if scenario.n is not None else int(rng.integers(n_range[0], n_range[1] + 1))
-        if family == "wg":
+        if family is WeibullG:
             lo, hi = (0.5, 2.0) if disabled == "beta_ge_2" else (2.0, 4.0)
             shared = float(rng.uniform(lo, hi))
         else:
             shared = float(rng.uniform(0.1, 10.0))
         mats = _chain_matrices(rng, n, k_range[0], k_range[1], anti_ordered=disabled == "pn")
 
-    build = _wg_series if family == "wg" else _gm_series
-    systems = [build(m, shared) for m in mats]
-    grid = Grid.for_models(systems[0], systems[-1], count=scenario.grid_count)
+    if family is WeibullG:
+        systems = [_params(m[0], shared, m[1]) for m in mats]
+    else:
+        systems = [_params(m[0], m[1], shared) for m in mats]
+    pairs = [(i, i + 1) for i in range(len(mats) - 1)]
+    if len(mats) > 2:
+        pairs.append((0, len(mats) - 1))
+    sweep = pinned and family is GompertzMakeham
 
-    verdicts = [
-        certify_hr(prev, nxt, grid=grid, tolerance=scenario.tolerance)
-        for prev, nxt in zip(systems, systems[1:])
-    ]
-    if len(systems) > 2:
-        verdicts.append(certify_hr(systems[0], systems[-1], grid=grid,
-                                   tolerance=scenario.tolerance))
+    def judge(verdicts: list[OrderVerdict], xs: np.ndarray) -> tuple[bool, str]:
+        holds = all(v.holds for v in verdicts)
+        sweep_dev = _rate_sweep_deviation(mats[0], mats[-1], xs) if sweep else 0.0
+        swept = sweep_dev <= _SWEEP_TOL
+        detail = "hazard dominance violated" if not holds else (
+            "" if swept else f"hazard gap varies with shared rate (dev {sweep_dev:.3e})")
+        return holds and swept, detail
 
-    sweep_dev = 0.0
-    if pinned and family == "gm":
-        diffs = []
-        for lam in _SWEEP_LAMS:
-            src, dst = _gm_series(mats[0], lam), _gm_series(mats[-1], lam)
-            diffs.append(np.asarray(src.hazard(grid.points)) - np.asarray(dst.hazard(grid.points)))
-        for a in range(len(diffs)):
-            for b in range(a + 1, len(diffs)):
-                sweep_dev = max(sweep_dev, float(np.abs(diffs[a] - diffs[b]).max()))
-        sweep_checked = sweep_dev <= _SWEEP_TOL
-
-    worst = _worst_verdict(verdicts)
-    ok = all(v.holds for v in verdicts) and sweep_checked
-    detail = "hazard dominance violated" if not all(v.holds for v in verdicts) else (
-        "" if sweep_checked else f"hazard gap varies with shared rate (dev {sweep_dev:.3e})")
-    curve = _series_hazard_curve(systems[0], systems[-1], grid.points) if want_curve else None
-    return _InstanceResult(ok=ok, margin=worst.margin, witness_x=worst.witness_x,
-                           detail=detail, curve=curve)
+    return _Draw(systems, pairs, judge)
 
 
-def _rh_parallel_instance(
-    scenario: TheoremScenario, rng: np.random.Generator, want_curve: bool
-) -> _InstanceResult:
+def _rate_sweep_deviation(source: np.ndarray, transformed: np.ndarray, xs: np.ndarray) -> float:
+    """Largest change of the series hazard gap across the shared rates _SWEEP_LAMS."""
+    diffs = []
+    for lam in _SWEEP_LAMS:
+        gap = _stack(GompertzMakeham, "series",
+                     [_params(source[0], source[1], lam),
+                      _params(transformed[0], transformed[1], lam)]).hazard(np.vstack([xs, xs]))
+        diffs.append(gap[0] - gap[1])
+    dev = 0.0
+    for a in range(len(diffs)):
+        for b in range(a + 1, len(diffs)):
+            dev = max(dev, float(np.abs(diffs[a] - diffs[b]).max()))
+    return dev
+
+
+def _draw_rh_parallel(scenario: TheoremScenario, rng: np.random.Generator) -> _Draw:
     n = scenario.n if scenario.n is not None else int(rng.integers(2, 6))
     beta = float(rng.uniform(0.5, 4.0))
     gamma = float(rng.uniform(0.5, 5.0))
     pair = generate_hypothesis_pair(n, "weak_super", rng=rng)
-    sys_x = SystemSpec(
-        tuple(WeibullG(alpha=float(a), beta=beta, gamma=gamma) for a in pair.a), "parallel")
-    sys_y = SystemSpec(
-        tuple(WeibullG(alpha=float(b), beta=beta, gamma=gamma) for b in pair.b), "parallel")
-    grid = Grid.for_models(sys_x, sys_y, count=scenario.grid_count,
-                           span_decades=_RH_SPAN_DECADES)
-    verdict = certify_rh(sys_x, sys_y, grid=grid, tolerance=scenario.tolerance)
-    curve = None
-    if want_curve:
-        xs = grid.points
-        lhs = np.asarray(sys_x.reversed_hazard(xs))
-        rhs = np.asarray(sys_y.reversed_hazard(xs))
-        curve = CurveSample(x=xs, lhs=lhs, rhs=rhs, diff=rhs - lhs,
-                            lhs_label="reversed_hazard_x", rhs_label="reversed_hazard_y")
-    return _InstanceResult(ok=verdict.holds, margin=verdict.margin,
-                           witness_x=verdict.witness_x,
-                           detail="" if verdict.holds else "reversed hazard order violated",
-                           curve=curve)
+    return _Draw([_params(pair.a, beta, gamma), _params(pair.b, beta, gamma)], [(0, 1)],
+                 _holds_or("reversed hazard order violated"))
 
 
-def _st_parallel_instance(
-    scenario: TheoremScenario, rng: np.random.Generator, family: str, want_curve: bool
-) -> _InstanceResult:
+def _draw_st_parallel(scenario: TheoremScenario, rng: np.random.Generator, family: type) -> _Draw:
     n = scenario.n if scenario.n is not None else int(rng.integers(2, 6))
     pair = generate_hypothesis_pair(n, "weak_super", rng=rng)
-    if family == "wg":
-        alpha = float(rng.uniform(0.5, 5.0))
-        beta = float(rng.uniform(0.5, 4.0))
-        sys_x = SystemSpec(
-            tuple(WeibullG(alpha=alpha, beta=beta, gamma=float(g)) for g in pair.a), "parallel")
-        sys_y = SystemSpec(
-            tuple(WeibullG(alpha=alpha, beta=beta, gamma=float(g)) for g in pair.b), "parallel")
-    else:
-        alpha = float(rng.uniform(0.5, 5.0))
-        beta = float(rng.uniform(0.5, 3.0))
-        sys_x = SystemSpec(
-            tuple(GompertzMakeham(alpha=alpha, beta=beta, lam=float(v)) for v in pair.a),
-            "parallel")
-        sys_y = SystemSpec(
-            tuple(GompertzMakeham(alpha=alpha, beta=beta, lam=float(v)) for v in pair.b),
-            "parallel")
-    grid = Grid.for_models(sys_x, sys_y, count=scenario.grid_count)
-    verdict = certify_st(sys_x, sys_y, grid=grid, tolerance=scenario.tolerance)
-    curve = None
-    if want_curve:
-        xs = grid.points
-        lhs = np.asarray(sys_x.sf(xs))
-        rhs = np.asarray(sys_y.sf(xs))
-        curve = CurveSample(x=xs, lhs=lhs, rhs=rhs, diff=rhs - lhs,
-                            lhs_label="sf_x", rhs_label="sf_y")
-    return _InstanceResult(ok=verdict.holds, margin=verdict.margin,
-                           witness_x=verdict.witness_x,
-                           detail="" if verdict.holds else "usual order violated",
-                           curve=curve)
+    alpha = float(rng.uniform(0.5, 5.0))
+    beta = float(rng.uniform(0.5, 4.0 if family is WeibullG else 3.0))
+    # the weakly supermajorized vector is gamma (Weibull-G) or lambda (Gompertz-Makeham)
+    return _Draw([_params(alpha, beta, pair.a), _params(alpha, beta, pair.b)], [(0, 1)],
+                 _holds_or("usual order violated"))
 
 
 def _dyadic(values: np.ndarray) -> np.ndarray:
@@ -383,9 +400,7 @@ def _dyadic(values: np.ndarray) -> np.ndarray:
     return np.maximum(np.round(values * _DYADIC) / _DYADIC, 1.0 / _DYADIC)
 
 
-def _lambda_aggregate_instance(
-    scenario: TheoremScenario, rng: np.random.Generator, want_curve: bool
-) -> _InstanceResult:
+def _draw_lambda_aggregate(scenario: TheoremScenario, rng: np.random.Generator) -> _Draw:
     n = scenario.n if scenario.n is not None else int(rng.integers(2, 6))
     alpha = float(rng.uniform(0.5, 5.0))
     beta = float(rng.uniform(0.5, 3.0))
@@ -400,87 +415,158 @@ def _lambda_aggregate_instance(
     moved[j] += delta
     shuffled = rng.permutation(moved)
 
-    sys_x = SystemSpec(
-        tuple(GompertzMakeham(alpha=alpha, beta=beta, lam=float(v)) for v in lam), "series")
-    grid = Grid.for_models(sys_x, count=scenario.grid_count)
-    xs = grid.points
-
-    s_ref = np.asarray(lambda_aggregate_sf(lam, alpha, beta, xs))
-    dev = 0.0
-    for other in (moved, shuffled):
-        s_other = np.asarray(lambda_aggregate_sf(other, alpha, beta, xs))
-        with np.errstate(invalid="ignore"):
-            rel = np.abs(s_other - s_ref) / np.where(s_ref > 0.0, s_ref, 1.0)
-        dev = max(dev, float(rel.max()))
-    invariant = dev <= _AGGREGATE_REL_TOL
-
     # strictly smaller rate sum -> stochastically larger system
     shrink = 1.0 - float(rng.uniform(0.05, 0.3))
     lam_small = lam * shrink
-    sys_y = SystemSpec(
-        tuple(GompertzMakeham(alpha=alpha, beta=beta, lam=float(v)) for v in lam_small),
-        "series")
-    verdict = certify_st(sys_x, sys_y, grid=grid, tolerance=scenario.tolerance)
-    agg_x = s_ref
-    agg_y = np.asarray(lambda_aggregate_sf(lam_small, alpha, beta, xs))
-    agg_ok = bool(np.all(agg_y - agg_x >= -scenario.tolerance))
 
-    ok = invariant and verdict.holds and agg_ok
-    if not invariant:
-        detail = f"aggregate survival not sum-invariant (rel dev {dev:.3e})"
-    elif not (verdict.holds and agg_ok):
-        detail = "usual order violated after lowering the rate sum"
-    else:
-        detail = ""
-    curve = None
-    if want_curve:
-        curve = CurveSample(x=xs, lhs=agg_x, rhs=agg_y, diff=agg_y - agg_x,
-                            lhs_label="sf_rate_sum_high", rhs_label="sf_rate_sum_low")
-    return _InstanceResult(ok=ok, margin=verdict.margin, witness_x=verdict.witness_x,
-                           detail=detail, curve=curve)
+    def judge(verdicts: list[OrderVerdict], xs: np.ndarray) -> tuple[bool, str]:
+        s_ref = np.asarray(lambda_aggregate_sf(lam, alpha, beta, xs))
+        dev = 0.0
+        for other in (moved, shuffled):
+            s_other = np.asarray(lambda_aggregate_sf(other, alpha, beta, xs))
+            with np.errstate(invalid="ignore"):
+                rel = np.abs(s_other - s_ref) / np.where(s_ref > 0.0, s_ref, 1.0)
+            dev = max(dev, float(rel.max()))
+        agg_y = np.asarray(lambda_aggregate_sf(lam_small, alpha, beta, xs))
+        agg_ok = bool(np.all(agg_y - s_ref >= -scenario.tolerance))
+        if dev > _AGGREGATE_REL_TOL:
+            return False, f"aggregate survival not sum-invariant (rel dev {dev:.3e})"
+        if not (verdicts[0].holds and agg_ok):
+            return False, "usual order violated after lowering the rate sum"
+        return True, ""
+
+    def curve(xs: np.ndarray) -> CurveSample:
+        agg_x = np.asarray(lambda_aggregate_sf(lam, alpha, beta, xs))
+        agg_y = np.asarray(lambda_aggregate_sf(lam_small, alpha, beta, xs))
+        return CurveSample(x=xs, lhs=agg_x, rhs=agg_y, diff=agg_y - agg_x,
+                           lhs_label="sf_rate_sum_high", rhs_label="sf_rate_sum_low")
+
+    return _Draw([_params(alpha, beta, lam), _params(alpha, beta, lam_small)], [(0, 1)],
+                 judge, tail=(0,), curve=curve)
 
 
-def _run_instance(
-    scenario: TheoremScenario,
-    rng: np.random.Generator,
-    index: int,
-    disabled: str | None,
-) -> _InstanceResult:
+def _draw(scenario: TheoremScenario, rng: np.random.Generator, index: int,
+          disabled: str | None) -> _Draw:
     sid = scenario.scenario_id
-    want_curve = index == 0
     pinned = index == 0 and disabled is None and sid in ("T3.1", "T4.1")
     if sid in ("T3.1", "T3.2", "T3.3", "T4.1", "T4.2", "T4.3"):
-        family = "wg" if sid.startswith("T3") else "gm"
+        family = WeibullG if sid.startswith("T3") else GompertzMakeham
         n_range = (2, 2) if sid in ("T3.1", "T4.1") else (3, 5)
         k_range = (2, 3) if sid in ("T3.3", "T4.3") else (1, 1)
-        return _hr_chain_instance(scenario, rng, family, n_range, k_range,
-                                  disabled, pinned, want_curve)
+        return _draw_hr_chain(scenario, rng, family, n_range, k_range, disabled, pinned)
     if sid == "T3.4":
-        return _rh_parallel_instance(scenario, rng, want_curve)
+        return _draw_rh_parallel(scenario, rng)
     if sid == "T3.5":
-        return _st_parallel_instance(scenario, rng, "wg", want_curve)
+        return _draw_st_parallel(scenario, rng, WeibullG)
     if sid == "T4.5":
-        return _st_parallel_instance(scenario, rng, "gm", want_curve)
-    return _lambda_aggregate_instance(scenario, rng, want_curve)
+        return _draw_st_parallel(scenario, rng, GompertzMakeham)
+    return _draw_lambda_aggregate(scenario, rng)
+
+
+def _by_width(members: list[tuple[int, int]], draws: list[_Draw]) -> dict[int, list]:
+    """Group (draw, system) pairs by component count, keeping their order."""
+    groups: dict[int, list] = {}
+    for k, i in members:
+        groups.setdefault(draws[k].systems[i].shape[1], []).append((k, i))
+    return groups
+
+
+def _grid_ends(plan: _Plan, draws: list[_Draw]) -> np.ndarray:
+    """Each draw's grid end: the largest tail point of its tail systems.
+
+    All tail systems of one component count are searched together.
+    """
+    members = [(k, i % len(d.systems)) for k, d in enumerate(draws) for i in d.tail]
+    x_max = np.zeros(len(draws))
+    for group in _by_width(members, draws).values():
+        stack = _stack(plan.family, plan.structure, [draws[k].systems[i] for k, i in group])
+        points = _support_upper(stack.sf, _TAIL, rows=len(group))
+        for (k, _), point in zip(group, points):
+            x_max[k] = max(x_max[k], point)
+    return x_max
+
+
+def _blocks(draws: list[_Draw], rows: int):
+    """Draw indices in blocks of one component count and at most ``rows`` systems.
+
+    A draw with more systems than ``rows`` gets a block of its own.
+    """
+    by_width: dict[int, list[int]] = {}
+    for k, d in enumerate(draws):
+        by_width.setdefault(d.systems[0].shape[1], []).append(k)
+    for ks in by_width.values():
+        block, held = [], 0
+        for k in ks:
+            size = len(draws[k].systems)
+            if block and held + size > rows:
+                yield block
+                block, held = [], 0
+            block.append(k)
+            held += size
+        yield block
+
+
+def _certify_block(scenario: TheoremScenario, plan: _Plan, draws: list[_Draw],
+                   grids: np.ndarray) -> list[tuple[list[OrderVerdict], list[np.ndarray]]]:
+    """Evaluate the systems of draws sharing one component count on their
+    grid rows, and certify every pair; returns each draw's verdicts and
+    slab rows."""
+    members = [(k, i) for k, d in enumerate(draws) for i in range(len(d.systems))]
+    stack = _stack(plan.family, plan.structure, [draws[k].systems[i] for k, i in members])
+    xs = grids[[k for k, _ in members]]
+    values = dict(zip(members, getattr(stack, _QUANTITY[plan.order])(xs)))
+    rows = [(k, i, j) for k, d in enumerate(draws) for i, j in d.pairs]
+    keep = None
+    if plan.order == "rh":
+        cdfs = dict(zip(members, stack.cdf(xs)))
+        keep = [(cdfs[(k, i)] > 0.0) & (cdfs[(k, j)] > 0.0) for k, i, j in rows]
+    verdicts = certify_rows(plan.order, [values[(k, i)] for k, i, _ in rows],
+                            [values[(k, j)] for k, _, j in rows], [grids[k] for k, _, _ in rows],
+                            tolerance=scenario.tolerance, keep=keep)
+    out, start = [], 0
+    for k, d in enumerate(draws):
+        out.append((verdicts[start:start + len(d.pairs)],
+                    [values[(k, i)] for i in range(len(d.systems))]))
+        start += len(d.pairs)
+    return out
+
+
+def _curve(plan: _Plan, draw: _Draw, xs: np.ndarray, first: np.ndarray,
+           last: np.ndarray) -> CurveSample:
+    """The exported curve of the first instance, from copies of its slab rows."""
+    xs = xs.copy()
+    if draw.curve is not None:
+        return draw.curve(xs)
+    lhs, rhs = first.copy(), last.copy()
+    lhs_label, rhs_label = _CURVE_LABELS[plan.order]
+    diff = lhs - rhs if plan.order == "hr" else rhs - lhs
+    return CurveSample(x=xs, lhs=lhs, rhs=rhs, diff=diff, lhs_label=lhs_label,
+                       rhs_label=rhs_label)
 
 
 def _run(scenario: TheoremScenario, disabled: str | None) -> BenchReport:
-    failures: list[InstanceFailure] = []
-    curve: CurveSample | None = None
-    worst = np.inf
-    passed = 0
-    for index in range(scenario.count):
-        rng = _instance_rng(scenario.seed, index)
-        result = _run_instance(scenario, rng, index, disabled)
-        worst = min(worst, result.margin)
-        if index == 0:
-            curve = result.curve
-        if result.ok:
-            passed += 1
-        else:
-            failures.append(InstanceFailure(index=index, detail=result.detail,
-                                            margin=result.margin,
-                                            witness_x=result.witness_x))
+    plan = _PLANS[scenario.scenario_id]
+    # 1. draw every instance, each from its own seeded generator
+    draws = [_draw(scenario, _instance_rng(scenario.seed, index), index, disabled)
+             for index in range(scenario.count)]
+    # 2. one row-wise tail search per component count sets every grid end
+    x_max = _grid_ends(plan, draws)
+    # 3. certify blocks of systems on their grid rows
+    outcomes: list = [None] * scenario.count
+    curve = None
+    for block in _blocks(draws, max(1, _SLAB_CELLS // scenario.grid_count)):
+        grids = grid_points(x_max[block], scenario.grid_count, span_decades=plan.span_decades)
+        certified = _certify_block(scenario, plan, [draws[k] for k in block], grids)
+        for k, xs, (verdicts, values) in zip(block, grids, certified):
+            ok, detail = draws[k].judge(verdicts, xs)
+            outcomes[k] = (ok, detail, min(verdicts, key=lambda v: v.margin))
+            if k == 0:
+                curve = _curve(plan, draws[0], xs, values[0], values[-1])
+
+    failures = tuple(
+        InstanceFailure(index=index, detail=detail, margin=worst.margin,
+                        witness_x=worst.witness_x)
+        for index, (ok, detail, worst) in enumerate(outcomes) if not ok)
     return BenchReport(
         scenario_id=scenario.scenario_id,
         claim=_CLAIMS[scenario.scenario_id],
@@ -488,9 +574,9 @@ def _run(scenario: TheoremScenario, disabled: str | None) -> BenchReport:
         seed=scenario.seed,
         grid_count=scenario.grid_count,
         tolerance=scenario.tolerance,
-        passed=passed,
-        worst_margin=float(worst),
-        failures=tuple(failures),
+        passed=scenario.count - len(failures),
+        worst_margin=float(min(worst.margin for _, _, worst in outcomes)),
+        failures=failures,
         curve=curve,
         disabled_hypothesis=disabled,
     )

@@ -209,7 +209,9 @@ def _curve_points(order: str, first, second, grid: Grid):
     if order == "hr":
         lhs = np.asarray(first.hazard(xs))
         rhs = np.asarray(second.hazard(xs))
-        return xs, lhs, rhs, lhs - rhs
+        # past the support both hazards may be inf; certify_hr drops inf - inf
+        with np.errstate(invalid="ignore"):
+            return xs, lhs, rhs, lhs - rhs
     if order == "rh":
         keep = (np.asarray(first.cdf(xs)) > 0.0) & (np.asarray(second.cdf(xs)) > 0.0)
         xs = xs[keep]

@@ -27,10 +27,19 @@ Both model classes expose the same evaluation surface (``cdf``, ``sf``,
 ``quantile``, ``support_upper``), which is what the system and order
 layers program against. All evaluators accept scalars or arrays and
 return matching shapes.
+
+Each family's cumulative hazard and hazard are written once, as
+broadcasting kernels (``wg_cumulative_hazard``, ``wg_hazard``,
+``gm_cumulative_hazard``, ``gm_hazard``); every other quantity derives
+from those two (``survival``, ``distribution``, ``log1mexp``,
+``density``). The model methods call the kernels with float parameters,
+and ``ComponentStack`` calls them with (S, 1) parameter columns to
+evaluate one component of S systems at once.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -47,8 +56,12 @@ _FD_STEP = 1e-5
 # was the fastest of 127, 511, 2047 and 8191: larger sections make fewer sf
 # calls but cost more per call
 _TAIL_SECTION = np.arange(1, 128) / 128.0
+_TAIL_PROBES = np.power(2.0, np.arange(-20, 61, dtype=float))
 
 BASELINE_KINDS = ("exponential-standard", "user-supplied")
+
+_LOG_2 = math.log(2.0)
+_POWER_SHORTCUTS = ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal))
 
 
 def _as_array(x) -> np.ndarray:
@@ -65,6 +78,96 @@ def _as_array(x) -> np.ndarray:
 def _match(x_in, out: np.ndarray):
     """Return a float for scalar input, the array otherwise."""
     return out if np.ndim(x_in) else float(out[0])
+
+
+def log1mexp(h: np.ndarray) -> np.ndarray:
+    """log(1 - e^{-h}) for h >= 0: the log cdf from the cumulative hazard.
+
+    Mächler's split keeps relative precision at both ends: log(-expm1(-h))
+    for h <= log 2, where 1 - e^{-h} is small, and log1p(-exp(-h)) above
+    it, where e^{-h} is small and log(-expm1(-h)) would round to 0. See
+    M. Mächler, "Accurately Computing log(1 - exp(-|a|))", Rmpfr vignette,
+    2012.
+    """
+    with np.errstate(divide="ignore"):
+        out = np.negative(h)
+        np.exp(out, out=out)
+        np.negative(out, out=out)
+        np.log1p(out, out=out)
+        small = h <= _LOG_2
+        if small.any():
+            out[small] = np.log(-np.expm1(-h[small]))
+    return out
+
+
+def _power(base: np.ndarray, exponent) -> np.ndarray:
+    """base ** exponent, with the exponent a float or an (S, 1) column of rows.
+
+    For a float exponent of 2, 0.5 or -1, numpy's ``**`` computes a square,
+    square root or reciprocal, which can differ from pow in the last place;
+    a column of exponents takes pow throughout. Rows of a column with those
+    exponents take the same shortcut here, so a batch and each of its rows
+    agree.
+    """
+    if np.ndim(exponent) == 0:
+        return base ** exponent
+    out = np.power(base, exponent)
+    for value, exact in _POWER_SHORTCUTS:
+        rows = exponent == value
+        if rows.any():
+            out = np.where(rows, exact(base), out)
+    return out
+
+
+def survival(chf: np.ndarray) -> np.ndarray:
+    """sf = exp(-H) from the cumulative hazard H."""
+    return np.exp(-chf)
+
+
+def distribution(chf: np.ndarray) -> np.ndarray:
+    """cdf = 1 - exp(-H), computed as -expm1(-H)."""
+    return -np.expm1(-chf)
+
+
+def density(chf: np.ndarray, hazard: np.ndarray) -> np.ndarray:
+    """pdf = r(x) sf(x); zero once the survival underflows."""
+    sf = np.exp(-chf)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.where(sf > 0.0, hazard * sf, 0.0)
+
+
+# Broadcasting kernels. Points and parameters broadcast against each other:
+# the methods pass float parameters, a ComponentStack passes (S, 1) columns
+# against (S, m) points. Both evaluate the same expression elementwise, so
+# every row of a batch is bit-identical to the single evaluation.
+
+
+def wg_cumulative_hazard(x, alpha, beta, gamma, odds: OddsFn) -> np.ndarray:
+    """Weibull-G H(x) = alpha * w(gamma x)**beta."""
+    w = odds.w(np.minimum(gamma * x, _EXP_ARG_MAX))
+    with np.errstate(over="ignore"):
+        return alpha * _power(w, beta)
+
+
+def wg_hazard(x, alpha, beta, gamma, odds: OddsFn) -> np.ndarray:
+    """Weibull-G r(x) = alpha beta gamma w(gamma x)**(beta-1) w'(gamma x)."""
+    t = np.minimum(gamma * x, _EXP_ARG_MAX)
+    w = odds.w(t)
+    d1 = odds.d1(t)
+    with np.errstate(divide="ignore", over="ignore"):
+        return alpha * beta * gamma * _power(w, beta - 1.0) * d1
+
+
+def gm_cumulative_hazard(x, alpha, beta, lam) -> np.ndarray:
+    """Gompertz-Makeham H(x) = lambda x + (alpha/beta)(e^{beta x} - 1)."""
+    t = np.minimum(beta * x, _EXP_ARG_MAX)
+    return lam * x + (alpha / beta) * np.expm1(t)
+
+
+def gm_hazard(x, alpha, beta, lam) -> np.ndarray:
+    """Gompertz-Makeham r(x) = lambda + alpha e^{beta x}."""
+    t = np.minimum(beta * x, _EXP_ARG_MAX)
+    return lam + alpha * np.exp(t)
 
 
 @dataclass(frozen=True)
@@ -195,53 +298,34 @@ class WeibullG:
     def label(self) -> str:
         return f"weibull-g(alpha={self.alpha:g}, beta={self.beta:g}, gamma={self.gamma:g})"
 
-    def _odds_at(self, x: np.ndarray) -> np.ndarray:
-        t = np.minimum(self.gamma * x, _EXP_ARG_MAX)
-        return self.baseline.odds.w(t)
-
     def cumulative_hazard(self, x):
         """H(x) = alpha * w(gamma x)**beta, the negative log survival."""
-        xa = _as_array(x)
-        w = self._odds_at(xa)
-        with np.errstate(over="ignore"):
-            out = self.alpha * w**self.beta
+        out = wg_cumulative_hazard(_as_array(x), self.alpha, self.beta, self.gamma,
+                                   self.baseline.odds)
         return _match(x, out)
 
     def sf(self, x):
         """Survival function exp(-H(x))."""
-        chf = np.asarray(self.cumulative_hazard(_as_array(x)))
-        return _match(x, np.exp(-chf))
+        return _match(x, survival(np.asarray(self.cumulative_hazard(_as_array(x)))))
 
     def cdf(self, x):
         """Distribution function 1 - exp(-H(x)), computed as -expm1(-H)."""
-        chf = np.asarray(self.cumulative_hazard(_as_array(x)))
-        return _match(x, -np.expm1(-chf))
+        return _match(x, distribution(np.asarray(self.cumulative_hazard(_as_array(x)))))
 
     def log_cdf(self, x):
-        """log F(x), safe for points deep in the lower tail."""
-        chf = np.asarray(self.cumulative_hazard(_as_array(x)))
-        with np.errstate(divide="ignore"):
-            out = np.log(-np.expm1(-chf))
-        return _match(x, out)
+        """log F(x), with relative precision in both tails (see log1mexp)."""
+        return _match(x, log1mexp(np.asarray(self.cumulative_hazard(_as_array(x)))))
 
     def hazard(self, x):
         """r(x) = alpha beta gamma w(gamma x)**(beta-1) w'(gamma x)."""
-        xa = _as_array(x)
-        t = np.minimum(self.gamma * xa, _EXP_ARG_MAX)
-        w = self.baseline.odds.w(t)
-        d1 = self.baseline.odds.d1(t)
-        with np.errstate(divide="ignore", over="ignore"):
-            out = self.alpha * self.beta * self.gamma * w ** (self.beta - 1.0) * d1
+        out = wg_hazard(_as_array(x), self.alpha, self.beta, self.gamma, self.baseline.odds)
         return _match(x, out)
 
     def pdf(self, x):
         """Density, as hazard times survival; zero once survival underflows."""
         xa = _as_array(x)
-        sf = np.asarray(self.sf(xa))
-        haz = np.asarray(self.hazard(xa))
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = np.where(sf > 0.0, haz * sf, 0.0)
-        return _match(x, out)
+        chf = np.asarray(self.cumulative_hazard(xa))
+        return _match(x, density(chf, np.asarray(self.hazard(xa))))
 
     def reversed_hazard(self, x):
         """pdf(x) / cdf(x); undefined where the cdf is zero."""
@@ -269,7 +353,7 @@ class WeibullG:
 
     def support_upper(self, tail: float = 1e-6) -> float:
         """Smallest bracketing x with sf(x) <= tail."""
-        return _support_upper(self.sf, tail)
+        return float(_support_upper(self.sf, tail)[0])
 
 
 @dataclass(frozen=True)
@@ -297,38 +381,25 @@ class GompertzMakeham:
 
     def cumulative_hazard(self, x):
         """H(x) = lambda x + (alpha/beta)(e^{beta x} - 1)."""
-        xa = _as_array(x)
-        t = np.minimum(self.beta * xa, _EXP_ARG_MAX)
-        out = self.lam * xa + (self.alpha / self.beta) * np.expm1(t)
-        return _match(x, out)
+        return _match(x, gm_cumulative_hazard(_as_array(x), self.alpha, self.beta, self.lam))
 
     def sf(self, x):
-        chf = np.asarray(self.cumulative_hazard(_as_array(x)))
-        return _match(x, np.exp(-chf))
+        return _match(x, survival(np.asarray(self.cumulative_hazard(_as_array(x)))))
 
     def cdf(self, x):
-        chf = np.asarray(self.cumulative_hazard(_as_array(x)))
-        return _match(x, -np.expm1(-chf))
+        return _match(x, distribution(np.asarray(self.cumulative_hazard(_as_array(x)))))
 
     def log_cdf(self, x):
-        chf = np.asarray(self.cumulative_hazard(_as_array(x)))
-        with np.errstate(divide="ignore"):
-            out = np.log(-np.expm1(-chf))
-        return _match(x, out)
+        return _match(x, log1mexp(np.asarray(self.cumulative_hazard(_as_array(x)))))
 
     def hazard(self, x):
         """Exactly lambda + alpha e^{beta x}."""
-        xa = _as_array(x)
-        t = np.minimum(self.beta * xa, _EXP_ARG_MAX)
-        return _match(x, self.lam + self.alpha * np.exp(t))
+        return _match(x, gm_hazard(_as_array(x), self.alpha, self.beta, self.lam))
 
     def pdf(self, x):
         xa = _as_array(x)
-        sf = np.asarray(self.sf(xa))
-        haz = np.asarray(self.hazard(xa))
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = np.where(sf > 0.0, haz * sf, 0.0)
-        return _match(x, out)
+        chf = np.asarray(self.cumulative_hazard(xa))
+        return _match(x, density(chf, np.asarray(self.hazard(xa))))
 
     def reversed_hazard(self, x):
         xa = _as_array(x)
@@ -365,7 +436,60 @@ class GompertzMakeham:
         return _match(u, x)
 
     def support_upper(self, tail: float = 1e-6) -> float:
-        return _support_upper(self.sf, tail)
+        return float(_support_upper(self.sf, tail)[0])
+
+
+# parameter names, cumulative hazard kernel and hazard kernel of each family
+_FAMILIES = {
+    WeibullG: (("alpha", "beta", "gamma"), wg_cumulative_hazard, wg_hazard),
+    GompertzMakeham: (("alpha", "beta", "lam"), gm_cumulative_hazard, gm_hazard),
+}
+
+
+def _family(family: type) -> tuple:
+    try:
+        return _FAMILIES[family]
+    except KeyError:
+        raise TypeError(f"no stacked evaluation for {family.__name__} components") from None
+
+
+class ComponentStack:
+    """k components of one family and baseline in each of S systems.
+
+    ``params`` holds the family's parameters in declaration order
+    (alpha, beta, gamma for Weibull-G; alpha, beta, lam for
+    Gompertz-Makeham) as (S, k) arrays: row s is system s, column i its
+    i-th component of this stack. The evaluators take (S, m) points, row s
+    for system s, and return one column's values as an (S, m) array; a
+    stack of one system takes points of any shape.
+    """
+
+    def __init__(self, family: type, params: tuple[np.ndarray, ...],
+                 baseline: Baseline = EXPONENTIAL_STANDARD):
+        _, self._chf, self._hazard = _family(family)
+        self.family = family
+        self.baseline = baseline
+        extra = (baseline.odds,) if family is WeibullG else ()
+        arrays = [np.asarray(p, dtype=float) for p in params]
+        self.width = arrays[0].shape[1]
+        # one system evaluates with float parameters, as the model methods do
+        column = (lambda a, i: float(a[0, i])) if arrays[0].shape[0] == 1 else \
+            (lambda a, i: np.ascontiguousarray(a[:, i:i + 1]))
+        self._columns = [tuple(column(a, i) for a in arrays) + extra for i in range(self.width)]
+
+    @classmethod
+    def of(cls, rows) -> "ComponentStack":
+        """Stack S equally long rows of models that share one family and baseline."""
+        first = rows[0][0]
+        params = tuple(np.array([[getattr(c, name) for c in row] for row in rows], dtype=float)
+                       for name in _family(type(first))[0])
+        return cls(type(first), params, getattr(first, "baseline", EXPONENTIAL_STANDARD))
+
+    def cumulative_hazard(self, x: np.ndarray, i: int) -> np.ndarray:
+        return self._chf(x, *self._columns[i])
+
+    def hazard(self, x: np.ndarray, i: int) -> np.ndarray:
+        return self._hazard(x, *self._columns[i])
 
 
 def _validate_unit_open(u: np.ndarray) -> None:
@@ -414,36 +538,46 @@ def _invert_cdf(cdf: Callable, u: np.ndarray) -> np.ndarray:
     return x
 
 
-def _support_upper(sf: Callable, tail: float) -> float:
-    """Smallest float x with sf(x) <= tail, for a nonincreasing sf.
+def _support_upper(sf: Callable, tail: float, rows: int = 1) -> np.ndarray:
+    """Smallest float x with sf(x) <= tail, row by row, for nonincreasing survivals.
 
-    Probes x = 2**-20, ..., 2**60 in one vectorised call to bracket the
-    crossing between the last probe above the tail and the first at or
-    below it (or 0 and 2**-20, taking sf(0) = 1 as for any lifetime).
-    Each following round evaluates sf on 127 evenly spaced interior
-    points of the bracket [lo, hi] in one call; hi becomes the first
-    point at or below the tail and lo the point just before it. The
-    search stops when no float lies strictly between lo and hi, which
-    takes 8 rounds from a power-of-two bracket, so 9 sf calls in all.
+    ``sf`` evaluates ``rows`` survival functions at once: it maps a
+    (rows, m) array of points, row r for function r, to their survival
+    values. A single lifetime is a batch of one. Probes x = 2**-20, ...,
+    2**60 in one call to bracket each row's crossing between the last
+    probe above the tail and the first at or below it (or 0 and 2**-20,
+    taking sf(0) = 1 as for any lifetime). Each following round evaluates
+    sf on 127 evenly spaced interior points of every row's bracket
+    [lo, hi] in one call; hi becomes the first point at or below the tail
+    and lo the point just before it. A row whose bracket ends are adjacent
+    floats keeps them in later rounds, and the search stops when every row
+    has converged: 8 rounds from a power-of-two bracket, so 9 sf calls in
+    all. The rows do not interact, so each row's result is the one the
+    search gives it alone.
 
-    The result x satisfies sf(x) <= tail < sf(np.nextafter(x, 0)).
-    Raises ConvergenceError if sf is still above the tail at 2**60.
+    Returns an array of ``rows`` points x with
+    sf(x) <= tail < sf(np.nextafter(x, 0)). Raises ConvergenceError if a
+    row's sf is still above the tail at 2**60.
     """
     if not 0.0 < tail < 1.0:
         raise ValueError("tail probability must lie in (0, 1)")
-    probes = np.power(2.0, np.arange(-20, 61, dtype=float))
-    under = np.asarray(sf(probes)) <= tail
-    if not bool(under.any()):
+    under = np.asarray(sf(np.broadcast_to(_TAIL_PROBES, (rows, _TAIL_PROBES.size)))) <= tail
+    if not bool(under.any(axis=1).all()):
         raise ConvergenceError(f"sf never reached tail {tail!r} up to x = 2**60")
-    first = int(np.argmax(under))
-    lo = 0.0 if first == 0 else float(probes[first - 1])
-    hi = float(probes[first])
-    while np.nextafter(lo, hi) < hi:
+    first = under.argmax(axis=1)
+    lo = np.where(first > 0, _TAIL_PROBES[first - 1], 0.0)[:, None]
+    hi = _TAIL_PROBES[first][:, None]
+    # each round's ends are lo, the section points and hi, and ``under``
+    # flags them with sf <= tail, taking False at lo and True at hi: the
+    # first flagged end is the new hi and the one before it the new lo
+    width = _TAIL_SECTION.size + 2
+    under = np.ones((rows, width), dtype=bool)
+    under[:, 0] = False
+    offsets = np.arange(rows) * width
+    while (np.nextafter(lo, hi) < hi).any():
         points = lo + (hi - lo) * _TAIL_SECTION
-        under = np.asarray(sf(points)) <= tail
-        first = int(np.argmax(under)) if under.any() else len(points)
-        if first > 0:
-            lo = float(points[first - 1])
-        if first < len(points):
-            hi = float(points[first])
-    return hi
+        np.less_equal(sf(points), tail, out=under[:, 1:-1])
+        k = under.argmax(axis=1) + offsets
+        ends = np.concatenate((lo, points, hi), axis=1).ravel()
+        lo, hi = ends[k - 1, None], ends[k, None]
+    return hi[:, 0]

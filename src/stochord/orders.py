@@ -83,11 +83,21 @@ class Grid:
             x_max = max(float(d.support_upper(tail)) for d in dists)
         if not np.isfinite(x_max) or x_max <= 0.0:
             raise ValueError(f"x_max must be positive and finite, got {x_max!r}")
-        if policy == "log":
-            pts = np.geomspace(x_max * 10.0 ** (-span_decades), x_max, count)
-        else:
-            pts = np.linspace(x_max / count, x_max, count)
-        return cls(points=pts, policy=policy)
+        return cls(points=grid_points(x_max, count, policy, span_decades), policy=policy)
+
+
+def grid_points(x_max, count: int = _DEFAULT_COUNT, policy: str = "log",
+                span_decades: float = _SPAN_DECADES) -> np.ndarray:
+    """The points of Grid.for_models over (0, x_max], one row per entry of an array x_max.
+
+    Each row is bit-identical to the grid of its x_max alone.
+    """
+    x_max = np.asarray(x_max, dtype=float)
+    if policy == "log":
+        pts = np.geomspace(x_max * 10.0 ** (-span_decades), x_max, count, axis=-1)
+    else:
+        pts = np.linspace(x_max / count, x_max, count, axis=-1)
+    return np.ascontiguousarray(pts)
 
 
 @dataclass(frozen=True)
@@ -129,17 +139,21 @@ def _finish(
     slack: np.ndarray,
     witness_pool: np.ndarray,
     tolerance: float | None,
-    scale: float,
+    scaled: tuple[np.ndarray, ...],
     method: str,
     truncated: bool,
 ) -> OrderVerdict:
-    """Judge the slack; points where it is not finite are excluded and truncate."""
+    """Judge the slack; points where it is not finite are excluded and truncate.
+
+    Without an explicit tolerance, the default is scaled by the largest
+    finite |value| of the ``scaled`` arrays.
+    """
     finite = np.isfinite(slack)
     if not finite.all():
         slack, witness_pool, truncated = slack[finite], witness_pool[finite], True
     if slack.size == 0:
         raise EvaluationDomainError(f"no grid point has a finite {order} slack")
-    tol = _default_tolerance(scale) if tolerance is None else float(tolerance)
+    tol = _default_tolerance(_finite_scale(*scaled)) if tolerance is None else float(tolerance)
     worst = int(np.argmin(slack))
     margin = float(slack[worst])
     holds = margin >= -tol
@@ -155,6 +169,48 @@ def _finish(
     )
 
 
+# the pointwise orders and the method each reports
+_POINTWISE = {"st": "sf-pointwise", "hr": "hazard", "rh": "reversed-hazard"}
+
+
+def _pointwise(order: str, f_values: np.ndarray, g_values: np.ndarray, xs: np.ndarray,
+               tolerance: float | None, truncated: bool) -> OrderVerdict:
+    """Judge f <= g from both sides' sf (st), hazard (hr) or reversed hazard (rh).
+
+    hr needs r_f >= r_g, the others f's value <= g's. Past the support two
+    hazards may both be inf; _finish drops the inf - inf slack.
+    """
+    with np.errstate(invalid="ignore"):
+        slack = f_values - g_values if order == "hr" else g_values - f_values
+    return _finish(order, slack, xs, tolerance, (f_values, g_values), _POINTWISE[order],
+                   truncated)
+
+
+def certify_rows(order: str, f_values, g_values, points, tolerance: float | None = None,
+                 keep=None) -> list[OrderVerdict]:
+    """Certify f <= g in st, hr or rh for many rows of evaluated values at once.
+
+    Row r of ``f_values`` and ``g_values`` holds the two sides' sf (st),
+    hazard (hr) or reversed hazard (rh) on row r of ``points``; each may
+    be an (R, G) array or a sequence of R rows. ``keep``, if given, marks
+    the points of each row where the values are defined; dropping any
+    truncates that row's verdict. Row r's verdict is the one certify_st,
+    certify_hr (method "hazard") or certify_rh reaches on that row's grid.
+    """
+    if order not in _POINTWISE:
+        raise ValueError(f"row certification covers {tuple(_POINTWISE)}, got {order!r}")
+    verdicts = []
+    for r, (f, g, xs) in enumerate(zip(f_values, g_values, points)):
+        truncated = False
+        if keep is not None and not keep[r].all():
+            f, g, xs, truncated = f[keep[r]], g[keep[r]], xs[keep[r]], True
+            if xs.size < 2:
+                raise EvaluationDomainError(
+                    "cdf underflow leaves fewer than two usable grid points")
+        verdicts.append(_pointwise(order, f, g, xs, tolerance, truncated))
+    return verdicts
+
+
 def _resolve_grid(f, g, grid: Grid | None, count: int) -> Grid:
     return grid if grid is not None else Grid.for_models(f, g, count=count)
 
@@ -164,11 +220,7 @@ def certify_st(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
     """Certify f <= g in the usual stochastic order: sf_f <= sf_g pointwise."""
     grid = _resolve_grid(f, g, grid, count)
     xs = grid.points
-    sf_f = np.asarray(f.sf(xs))
-    sf_g = np.asarray(g.sf(xs))
-    slack = sf_g - sf_f
-    scale = _finite_scale(sf_f, sf_g)
-    return _finish("st", slack, xs, tolerance, scale, "sf-pointwise", False)
+    return _pointwise("st", np.asarray(f.sf(xs)), np.asarray(g.sf(xs)), xs, tolerance, False)
 
 
 def certify_hr(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
@@ -188,12 +240,8 @@ def certify_hr(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
         method = "hazard" if hasattr(f, "hazard") and hasattr(g, "hazard") else "sf-ratio"
 
     if method == "hazard":
-        r_f = np.asarray(f.hazard(xs))
-        r_g = np.asarray(g.hazard(xs))
-        with np.errstate(invalid="ignore"):
-            slack = r_f - r_g
-        scale = _finite_scale(r_f, r_g)
-        return _finish("hr", slack, xs, tolerance, scale, "hazard", False)
+        return _pointwise("hr", np.asarray(f.hazard(xs)), np.asarray(g.hazard(xs)), xs,
+                          tolerance, False)
 
     sf_f = np.asarray(f.sf(xs))
     sf_g = np.asarray(g.sf(xs))
@@ -206,8 +254,7 @@ def certify_hr(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
         raise EvaluationDomainError("survival underflow leaves fewer than two usable grid points")
     ratio = ratio[:cut]
     slack = np.diff(ratio)
-    scale = _finite_scale(ratio)
-    return _finish("hr", slack, xs[1:cut], tolerance, scale, "sf-ratio", truncated)
+    return _finish("hr", slack, xs[1:cut], tolerance, (ratio,), "sf-ratio", truncated)
 
 
 def certify_rh(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
@@ -229,9 +276,7 @@ def certify_rh(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
         raise EvaluationDomainError("cdf underflow leaves fewer than two usable grid points")
     rh_f = np.asarray(f.reversed_hazard(xs_kept))
     rh_g = np.asarray(g.reversed_hazard(xs_kept))
-    slack = rh_g - rh_f
-    scale = _finite_scale(rh_f, rh_g)
-    return _finish("rh", slack, xs_kept, tolerance, scale, "reversed-hazard", truncated)
+    return _pointwise("rh", rh_f, rh_g, xs_kept, tolerance, truncated)
 
 
 def certify_lr(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
@@ -253,8 +298,7 @@ def certify_lr(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
         raise EvaluationDomainError("density underflow leaves fewer than two usable grid points")
     log_ratio = np.log(pdf_g[keep]) - np.log(pdf_f[keep])
     slack = np.diff(log_ratio)
-    scale = _finite_scale(log_ratio)
-    return _finish("lr", slack, xs_kept[1:], tolerance, scale, "log-pdf-ratio", truncated)
+    return _finish("lr", slack, xs_kept[1:], tolerance, (log_ratio,), "log-pdf-ratio", truncated)
 
 
 def certify(order: str, f, g, **kwargs) -> OrderVerdict:

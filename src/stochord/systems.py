@@ -9,20 +9,145 @@ sum of component reversed hazards.
 
 Products are accumulated in log space: the series sf is
 exp(-sum of cumulative hazards) and the parallel cdf is
-exp(sum of log cdfs), which keeps deep-tail evaluations stable.
+exp(sum of log cdfs), which keeps deep-tail evaluations stable; the log
+cdfs come from log1mexp, so the parallel sf keeps its relative precision
+deep in the upper tail too.
+
+``SystemStack`` evaluates S systems with the same component layout at
+once on (S, m) points, one component at a time; ``SystemSpec`` evaluates
+a single system as a stack of one, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EvaluationDomainError
-from .models import WeibullG, _as_array, _match, _support_upper
+from .models import (
+    EXPONENTIAL_STANDARD,
+    ComponentStack,
+    WeibullG,
+    _as_array,
+    _match,
+    _support_upper,
+    density,
+    distribution,
+    log1mexp,
+    survival,
+)
 
 STRUCTURES = ("series", "parallel")
+
+
+def _run_key(component) -> tuple:
+    return type(component), getattr(component, "baseline", EXPONENTIAL_STANDARD)
+
+
+class SystemStack:
+    """S systems of one structure, evaluated together on (S, m) points.
+
+    The components are held as consecutive runs of one family and baseline,
+    a ComponentStack each; component i of every system sits at the same
+    place in the same run. Row s of the points and of every result belongs
+    to system s. Each evaluator sums the components one at a time, in
+    order, over (S, m) arrays, so row s is bit-identical to evaluating
+    system s alone. Where a reversed hazard is undefined (a cdf of zero)
+    it is NaN.
+    """
+
+    def __init__(self, structure: str, runs: Sequence[ComponentStack]):
+        if structure not in STRUCTURES:
+            raise ValueError(f"structure must be one of {STRUCTURES}, got {structure!r}")
+        self.structure = structure
+        self._columns = [(run, i) for run in runs for i in range(run.width)]
+
+    @classmethod
+    def of(cls, systems: Sequence["SystemSpec"]) -> "SystemStack":
+        """Stack systems of one structure whose components line up by family and baseline."""
+        first = systems[0]
+        keys = [_run_key(c) for c in first.components]
+        for system in systems[1:]:
+            if system.structure != first.structure or \
+                    [_run_key(c) for c in system.components] != keys:
+                raise ValueError("stacked systems need one structure and matching components")
+        runs, start = [], 0
+        for k in range(1, len(keys) + 1):
+            if k == len(keys) or keys[k] != keys[start]:
+                runs.append(ComponentStack.of([s.components[start:k] for s in systems]))
+                start = k
+        return cls(first.structure, runs)
+
+    def _chfs(self, x: np.ndarray):
+        return (run.cumulative_hazard(x, i) for run, i in self._columns)
+
+    def _parts(self, x: np.ndarray):
+        """(cumulative hazard, hazard) of each component in turn."""
+        return ((run.cumulative_hazard(x, i), run.hazard(x, i)) for run, i in self._columns)
+
+    def _total(self, chfs) -> np.ndarray:
+        """Series: the summed cumulative hazards. Parallel: the summed log cdfs."""
+        if self.structure == "series":
+            # finite component hazards near 1e308 may sum to inf; sf is then 0
+            with np.errstate(over="ignore"):
+                return sum(chfs)
+        return sum(log1mexp(chf) for chf in chfs)
+
+    def _sf(self, chfs) -> np.ndarray:
+        total = self._total(chfs)
+        return survival(total) if self.structure == "series" else -np.expm1(total)
+
+    def _cdf(self, chfs) -> np.ndarray:
+        total = self._total(chfs)
+        return distribution(total) if self.structure == "series" else np.exp(total)
+
+    def _pdf(self, parts) -> np.ndarray:
+        """Density by the leave-one-out product rule."""
+        pdfs, factors = [], []
+        for chf, haz in parts:
+            pdfs.append(density(chf, haz))
+            factors.append(survival(chf) if self.structure == "series" else distribution(chf))
+        others = _leave_one_out_products(factors)
+        with np.errstate(invalid="ignore"):
+            out = sum(f * rest for f, rest in zip(pdfs, others))
+        return np.nan_to_num(out, nan=0.0, posinf=np.inf)
+
+    def sf(self, x: np.ndarray) -> np.ndarray:
+        return self._sf(self._chfs(x))
+
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        return self._cdf(self._chfs(x))
+
+    def hazard(self, x: np.ndarray) -> np.ndarray:
+        """Series: the component hazard sum. Parallel: pdf over sf."""
+        if self.structure == "series":
+            return sum(run.hazard(x, i) for run, i in self._columns)
+        # the density needs every component at once; the sf reuses them
+        parts = list(self._parts(x))
+        sf = self._sf(chf for chf, _ in parts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(sf > 0.0, self._pdf(parts) / sf, np.inf)
+
+    def reversed_hazard(self, x: np.ndarray) -> np.ndarray:
+        """Parallel: the component reversed-hazard sum. Series: pdf over cdf."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.structure == "series":
+                parts = list(self._parts(x))
+                cdf = self._cdf(chf for chf, _ in parts)
+                return np.where(cdf == 0.0, np.nan, self._pdf(parts) / cdf)
+            total, undefined = 0, False
+            for chf, haz in self._parts(x):
+                cdf = distribution(chf)
+                undefined = undefined | (cdf == 0.0)
+                total = total + density(chf, haz) / cdf
+            return np.where(undefined, np.nan, total)
+
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        """Density of the system lifetime via the leave-one-out product rule."""
+        return self._pdf(self._parts(x))
 
 
 @dataclass(frozen=True)
@@ -32,16 +157,18 @@ class SystemSpec:
     Parameters
     ----------
     components : tuple
-        Lifetime models exposing the common evaluation surface
-        (``cdf``, ``sf``, ``pdf``, ``hazard``, ``reversed_hazard``,
-        ``cumulative_hazard``, ``log_cdf``).
+        ``WeibullG`` and ``GompertzMakeham`` models, in any mix.
     structure : str
         ``"series"`` (system lifetime is the component minimum) or
         ``"parallel"`` (the component maximum).
+
+    The evaluators run through a one-row SystemStack, the same path that
+    evaluates batches of systems.
     """
 
     components: tuple
     structure: str
+    _stack: SystemStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.structure not in STRUCTURES:
@@ -49,6 +176,7 @@ class SystemSpec:
         if len(self.components) < 1:
             raise ValueError("a system needs at least one component")
         object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "_stack", SystemStack.of([self]))
 
     @property
     def n(self) -> int:
@@ -58,73 +186,37 @@ class SystemSpec:
     def label(self) -> str:
         return f"{self.structure}[{', '.join(c.label for c in self.components)}]"
 
-    def _chf_total(self, x: np.ndarray) -> np.ndarray:
-        # finite component hazards near 1e308 may sum to inf; sf is then 0
-        with np.errstate(over="ignore"):
-            return sum(np.asarray(c.cumulative_hazard(x)) for c in self.components)
-
-    def _log_cdf_total(self, x: np.ndarray) -> np.ndarray:
-        return sum(np.asarray(c.log_cdf(x)) for c in self.components)
+    def _evaluate(self, quantity: str, x):
+        xa = _as_array(x)
+        return _match(x, getattr(self._stack, quantity)(xa).reshape(xa.shape))
 
     def sf(self, x):
-        xa = _as_array(x)
-        if self.structure == "series":
-            out = np.exp(-self._chf_total(xa))
-        else:
-            out = -np.expm1(self._log_cdf_total(xa))
-        return _match(x, out)
+        return self._evaluate("sf", x)
 
     def cdf(self, x):
-        xa = _as_array(x)
-        if self.structure == "series":
-            out = -np.expm1(-self._chf_total(xa))
-        else:
-            out = np.exp(self._log_cdf_total(xa))
-        return _match(x, out)
+        return self._evaluate("cdf", x)
 
     def hazard(self, x):
         """Series: the component hazard sum. Parallel: pdf over sf."""
-        xa = _as_array(x)
-        if self.structure == "series":
-            out = sum(np.asarray(c.hazard(xa)) for c in self.components)
-        else:
-            sf = np.asarray(self.sf(xa))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(sf > 0.0, np.asarray(self.pdf(xa)) / sf, np.inf)
-        return _match(x, out)
+        return self._evaluate("hazard", x)
 
     def reversed_hazard(self, x):
         """Parallel: the component reversed-hazard sum. Series: pdf over cdf."""
         xa = _as_array(x)
-        if self.structure == "parallel":
-            out = sum(np.asarray(c.reversed_hazard(xa)) for c in self.components)
-        else:
-            cdf = np.asarray(self.cdf(xa))
-            if np.any(cdf == 0.0):
-                raise EvaluationDomainError(
-                    "reversed hazard undefined where cdf(x) = 0; evaluate at x > 0"
-                )
-            out = np.asarray(self.pdf(xa)) / cdf
+        out = self._stack.reversed_hazard(xa).reshape(xa.shape)
+        if np.any(np.isnan(out)):
+            raise EvaluationDomainError(
+                "reversed hazard undefined where cdf(x) = 0; evaluate at x > 0"
+            )
         return _match(x, out)
 
     def pdf(self, x):
         """Density of the system lifetime via the leave-one-out product rule."""
-        xa = _as_array(x)
-        parts = self.components
-        pdfs = [np.asarray(c.pdf(xa)) for c in parts]
-        if self.structure == "series":
-            sfs = [np.asarray(c.sf(xa)) for c in parts]
-            others = _leave_one_out_products(sfs)
-        else:
-            cdfs = [np.asarray(c.cdf(xa)) for c in parts]
-            others = _leave_one_out_products(cdfs)
-        with np.errstate(invalid="ignore"):
-            out = sum(f * rest for f, rest in zip(pdfs, others))
-        return _match(x, np.nan_to_num(out, nan=0.0, posinf=np.inf))
+        return self._evaluate("pdf", x)
 
     def support_upper(self, tail: float = 1e-6) -> float:
         """Smallest bracketing x with system sf(x) <= tail."""
-        return _support_upper(self.sf, tail)
+        return float(_support_upper(self.sf, tail)[0])
 
 
 def _leave_one_out_products(factors: list[np.ndarray]) -> list[np.ndarray]:
@@ -140,30 +232,6 @@ def _leave_one_out_products(factors: list[np.ndarray]) -> list[np.ndarray]:
         suffix.append(suffix[-1] * v)
     suffix.reverse()
     return [prefix[i] * suffix[i] for i in range(n)]
-
-
-def system_sf(system: SystemSpec, x):
-    """Survival function of the system lifetime."""
-    return system.sf(x)
-
-
-def system_cdf(system: SystemSpec, x):
-    """Distribution function of the system lifetime."""
-    return system.cdf(x)
-
-
-def series_hazard(system: SystemSpec, x):
-    """Hazard rate of a series system, the sum of component hazards."""
-    if system.structure != "series":
-        raise ValueError("series_hazard requires a series system")
-    return system.hazard(x)
-
-
-def parallel_reversed_hazard(system: SystemSpec, x):
-    """Reversed hazard rate of a parallel system, the component sum."""
-    if system.structure != "parallel":
-        raise ValueError("parallel_reversed_hazard requires a parallel system")
-    return system.reversed_hazard(x)
 
 
 def parallel_reversed_hazard_factored(system: SystemSpec, x):

@@ -53,6 +53,28 @@ class TestScenarioBatches:
             TheoremScenario("T3.1", n=1)
 
 
+# (passed, repr(worst_margin)) for every scenario at count 40, seed 0
+GOLDEN_40 = {
+    "T3.1": (40, "1.4155776191400932e-12"),
+    "T3.2": (40, "4.329103477937803e-14"),
+    "T3.3": (40, "2.6468193952633355e-14"),
+    "T3.4": (40, "1.0737767297541723e-07"),
+    "T3.5": (40, "0.0"),
+    "T4.1": (40, "1.5375567485875763e-08"),
+    "T4.2": (40, "1.1851721382072355e-07"),
+    "T4.3": (40, "8.223395298045943e-10"),
+    "T4.4": (40, "3.212705188396487e-07"),
+    "T4.5": (40, "0.0"),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+    def test_pass_count_and_worst_margin_are_pinned(self, scenario_id):
+        report = run_scenario(TheoremScenario(scenario_id, count=40, seed=0))
+        assert (report.passed, repr(report.worst_margin)) == GOLDEN_40[scenario_id]
+
+
 class TestPinnedCurves:
     def test_series_hazard_curve_dominates(self):
         report = run_scenario(TheoremScenario("T3.1", count=1, seed=0, grid_count=2048))

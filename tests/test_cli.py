@@ -70,6 +70,20 @@ class TestCompare:
         assert xs[-1] == 1.5
         assert np.all(np.diff(xs) > 0)
 
+    def test_hr_curve_past_the_support_warns_nothing(self, capsys, tmp_path):
+        # both parallel hazards are inf past the support: the exported diff
+        # is inf - inf there, which must not raise under error::RuntimeWarning
+        doc = json.load(open(EXAMPLE1))
+        doc["first"]["structure"] = doc["second"]["structure"] = "parallel"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "compare", "--config", str(cfg), "--order", "hr",
+                             "--xmax", "50", "--out", str(tmp_path))
+        assert code == 3 and err == ""
+        assert "truncated: true" in out
+        rows = (tmp_path / "compare_curve.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2048
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "compare", "--config", "nowhere.json")
         assert code == 2 and "nowhere.json: no such file" in err

@@ -30,6 +30,7 @@ from stochord import (
     reversed_hazard_weight,
     schur_condition_check,
 )
+from stochord.orders import certify_rows, grid_points
 
 # shared-shape pair: the larger alpha is smaller in every order
 SMALLER = WeibullG(2.0, 2.0, 1.0)
@@ -169,17 +170,18 @@ def _parallel_pairs(draw):
 
 class TestNonFiniteSlack:
     def test_parallel_reference_example_fails_hr_with_finite_margin(self):
-        # the parallel hazard is inf where sf underflows: margin -inf and
-        # tolerance inf used to read as holds. The exact slack is below -142
-        # on the last tenth of the grid (mpmath); the worst finite grid value
-        # sits where one sf is a few ulp, so only its sign is pinned.
+        # the parallel hazard used to be inf where sf underflowed: margin -inf
+        # and tolerance inf read as holds. The exact slack is below -142 on
+        # the last tenth of the grid (mpmath); with the log1mexp log cdf the
+        # sf no longer underflows there, so every grid point is kept.
+        # test_parallel_tail pins the margin against mpmath.
         f = SystemSpec((WeibullG(4.8, 3.0, 2.5), WeibullG(3.4, 3.0, 1.6)), "parallel")
         g = SystemSpec((WeibullG(4.03, 3.0, 2.005), WeibullG(4.17, 3.0, 2.095)), "parallel")
         verdict = certify_hr(f, g)
-        assert not verdict.holds and verdict.truncated
+        assert not verdict.holds and not verdict.truncated
         assert -1e3 < verdict.margin < -142.0
         assert math.isfinite(verdict.tolerance) and verdict.tolerance < 1e-3
-        assert verdict.grid_count < 2048
+        assert verdict.grid_count == 2048
 
     @given(_parallel_pairs(), st.sampled_from(ORDERS), st.sampled_from([None, 10.0, 50.0]))
     @settings(max_examples=150, deadline=None)
@@ -195,6 +197,42 @@ class TestNonFiniteSlack:
         with pytest.raises(EvaluationDomainError):
             certify_hr(SystemSpec((SMALLER,), "parallel"), SystemSpec((LARGER,), "parallel"),
                        grid=nowhere)
+
+
+class TestRows:
+    @given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
+           st.sampled_from(["log", "linear"]), st.sampled_from([2.5, 4.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_grid_rows_match_single_grids(self, ends, policy, span):
+        rows = grid_points(np.array(ends), 64, policy, span)
+        for end, row in zip(ends, rows):
+            single = Grid.for_models(count=64, x_max=end, policy=policy, span_decades=span)
+            assert np.array_equal(row, single.points)
+
+    @given(_parallel_pairs(), st.sampled_from(["st", "hr", "rh"]),
+           st.sampled_from([None, 1e-9]))
+    @settings(max_examples=60, deadline=None)
+    def test_row_verdicts_match_the_certifiers(self, pair, order, tolerance):
+        f, g = pair
+        grid = Grid.for_models(f, g, count=128)
+        xs = grid.points
+        quantity = {"st": "sf", "hr": "hazard", "rh": "reversed_hazard"}[order]
+        keep = None
+        if order == "rh":
+            keep = (f.cdf(xs) > 0.0) & (g.cdf(xs) > 0.0)
+            f_row, g_row = np.full(xs.shape, np.nan), np.full(xs.shape, np.nan)
+            f_row[keep], g_row[keep] = f.reversed_hazard(xs[keep]), g.reversed_hazard(xs[keep])
+            keep = [keep] * 2
+        else:
+            f_row, g_row = getattr(f, quantity)(xs), getattr(g, quantity)(xs)
+        rows = certify_rows(order, [f_row, f_row], [g_row, g_row], [xs, xs],
+                            tolerance=tolerance, keep=keep)
+        single = certify(order, f, g, grid=grid, tolerance=tolerance)
+        assert rows == [single, single]
+
+    def test_lr_has_no_row_form(self):
+        with pytest.raises(ValueError):
+            certify_rows("lr", [np.ones(16)], [np.ones(16)], [np.linspace(0.1, 1.0, 16)])
 
 
 class TestImplicationChain:

@@ -17,12 +17,10 @@ from stochord import (
     SystemSpec,
     WeibullG,
     lambda_aggregate_sf,
-    parallel_reversed_hazard,
     parallel_reversed_hazard_factored,
-    series_hazard,
-    system_cdf,
-    system_sf,
 )
+from stochord.models import ComponentStack, _support_upper
+from stochord.systems import SystemStack
 
 WG_SOURCE = SystemSpec(
     components=(WeibullG(4.8, 3.0, 2.5), WeibullG(3.4, 3.0, 1.6)),
@@ -47,18 +45,18 @@ class TestSeries:
         assert_allclose(WG_SOURCE.sf(0.3), 0.0005616507783134292, rtol=1e-13)
 
     def test_hazard_pinned_values(self):
-        assert_allclose(series_hazard(WG_SOURCE, 0.4), 313.79972546277535, rtol=1e-13)
-        assert_allclose(series_hazard(WG_TRANSFORMED, 0.4), 186.03074880936204, rtol=1e-13)
-        assert_allclose(series_hazard(WG_SOURCE, 0.3), 105.09919472726375, rtol=1e-13)
-        assert_allclose(series_hazard(WG_TRANSFORMED, 0.3), 67.69884106790015, rtol=1e-13)
+        assert_allclose(WG_SOURCE.hazard(0.4), 313.79972546277535, rtol=1e-13)
+        assert_allclose(WG_TRANSFORMED.hazard(0.4), 186.03074880936204, rtol=1e-13)
+        assert_allclose(WG_SOURCE.hazard(0.3), 105.09919472726375, rtol=1e-13)
+        assert_allclose(WG_TRANSFORMED.hazard(0.3), 67.69884106790015, rtol=1e-13)
 
     def test_gompertz_makeham_hazard_gap(self):
-        diff = series_hazard(GM_SOURCE, 1.0) - series_hazard(GM_TRANSFORMED, 1.0)
+        diff = GM_SOURCE.hazard(1.0) - GM_TRANSFORMED.hazard(1.0)
         assert_allclose(diff, 11.506034004599373, rtol=1e-12)
         # at x = 0 both hazards reduce to sum(lam) + sum(alpha), preserved
         # exactly by the averaging that produced the transformed matrix
-        assert series_hazard(GM_SOURCE, 0.0) == pytest.approx(
-            series_hazard(GM_TRANSFORMED, 0.0), abs=1e-13)
+        assert GM_SOURCE.hazard(0.0) == pytest.approx(
+            GM_TRANSFORMED.hazard(0.0), abs=1e-13)
 
     def test_identical_components_power_identity(self):
         one = WeibullG(1.5, 2.0, 0.8)
@@ -95,7 +93,7 @@ class TestParallel:
         sys_p = SystemSpec(GM_SOURCE.components, "parallel")
         xs = np.linspace(0.1, 1.5, 20)
         expected = sum(np.asarray(c.reversed_hazard(xs)) for c in sys_p.components)
-        assert_allclose(np.asarray(parallel_reversed_hazard(sys_p, xs)), expected,
+        assert_allclose(np.asarray(sys_p.reversed_hazard(xs)), expected,
                         rtol=1e-13)
 
     def test_factored_reversed_hazard_pinned_and_matches_generic(self):
@@ -104,7 +102,7 @@ class TestParallel:
                         7.558624946927722, rtol=1e-13)
         xs = np.linspace(0.1, 2.0, 40)
         assert_allclose(np.asarray(parallel_reversed_hazard_factored(sys_p, xs)),
-                        np.asarray(parallel_reversed_hazard(sys_p, xs)), rtol=1e-10)
+                        np.asarray(sys_p.reversed_hazard(xs)), rtol=1e-10)
 
     def test_factored_form_requires_shared_shape_and_scale(self):
         mixed_beta = SystemSpec((WeibullG(1.5, 2.0, 0.8), WeibullG(2.5, 3.0, 0.8)),
@@ -127,15 +125,6 @@ class TestParallel:
 
 
 class TestStructureGuards:
-    def test_series_helper_rejects_parallel(self):
-        sys_p = SystemSpec(WG_SOURCE.components, "parallel")
-        with pytest.raises(ValueError):
-            series_hazard(sys_p, 0.5)
-
-    def test_parallel_helper_rejects_series(self):
-        with pytest.raises(ValueError):
-            parallel_reversed_hazard(WG_SOURCE, 0.5)
-
     def test_unknown_structure_rejected(self):
         with pytest.raises(ValueError):
             SystemSpec(WG_SOURCE.components, "bridge")
@@ -172,12 +161,7 @@ class TestDensityConsistency:
         with pytest.raises(EvaluationDomainError):
             WG_SOURCE.reversed_hazard(0.0)
         with pytest.raises(EvaluationDomainError):
-            parallel_reversed_hazard(SystemSpec(WG_SOURCE.components, "parallel"), 0.0)
-
-    def test_module_level_thin_wrappers(self):
-        xs = np.linspace(0.1, 0.5, 16)
-        assert_allclose(system_sf(WG_SOURCE, xs), np.asarray(WG_SOURCE.sf(xs)), rtol=0)
-        assert_allclose(system_cdf(WG_SOURCE, xs), np.asarray(WG_SOURCE.cdf(xs)), rtol=0)
+            SystemSpec(WG_SOURCE.components, "parallel").reversed_hazard(0.0)
 
     def test_support_upper_brackets_system_tail(self):
         upper = WG_SOURCE.support_upper(1e-6)
@@ -216,6 +200,139 @@ class TestTailSearch:
             warnings.simplefilter("error", RuntimeWarning)
             upper = system.support_upper(1e-6)
         assert system.sf(np.array([upper]))[0] <= 1e-6
+
+
+def _loop_series_sf(system, x):
+    total = 0.0
+    with np.errstate(over="ignore"):
+        for c in system.components:
+            total = total + np.asarray(c.cumulative_hazard(x))
+    return np.exp(-total)
+
+
+def _loop_series_hazard(system, x):
+    total = 0.0
+    for c in system.components:
+        total = total + np.asarray(c.hazard(x))
+    return total
+
+
+def _loop_parallel_cdf(system, x):
+    total = 0.0
+    for c in system.components:
+        total = total + np.asarray(c.log_cdf(x))
+    return np.exp(total)
+
+
+@st.composite
+def _one_family_components(draw, min_size=1, max_size=6):
+    component = draw(st.sampled_from([_WG_COMPONENT, _GM_COMPONENT]))
+    return tuple(draw(st.lists(component, min_size=min_size, max_size=max_size)))
+
+
+_POINTS = st.lists(st.floats(1e-3, 12.0), min_size=1, max_size=12)
+
+
+class TestComponentLoopReference:
+    # the system evaluators sum components one at a time, in order; a loop
+    # over the component methods must give the same floats
+    @given(_one_family_components(), _POINTS)
+    @settings(max_examples=150, deadline=None)
+    def test_series_sf_and_hazard(self, components, xs):
+        system = SystemSpec(components, "series")
+        x = np.array(xs)
+        assert np.array_equal(system.sf(x), _loop_series_sf(system, x))
+        assert np.array_equal(system.hazard(x), _loop_series_hazard(system, x))
+
+    @given(_one_family_components(), _POINTS)
+    @settings(max_examples=150, deadline=None)
+    def test_parallel_cdf(self, components, xs):
+        system = SystemSpec(components, "parallel")
+        x = np.array(xs)
+        assert np.array_equal(system.cdf(x), _loop_parallel_cdf(system, x))
+
+    def test_shape_two_takes_the_square_path(self):
+        # numpy evaluates w ** 2.0 as a square; beta = 3 puts that power
+        # in the Weibull-G hazard
+        system = SystemSpec((WeibullG(4.8, 3.0, 2.5), WeibullG(3.4, 3.0, 1.6)), "series")
+        x = np.geomspace(1e-4, 1.0, 257)
+        assert np.array_equal(system.hazard(x), _loop_series_hazard(system, x))
+
+
+# shapes 1.5 and 3 put the exponents 0.5 and 2 into the Weibull-G powers,
+# which numpy's ** evaluates as sqrt and square
+_WG_SHAPES = st.one_of(st.floats(0.3, 5.0), st.sampled_from([1.5, 2.0, 3.0]))
+_WG_BATCH_COMPONENT = st.builds(WeibullG, st.floats(0.1, 5.0), _WG_SHAPES, st.floats(0.3, 5.0))
+
+
+@st.composite
+def _batches(draw, structures=("series", "parallel")):
+    """1 to 6 systems of one family and structure with equal component counts."""
+    component = draw(st.sampled_from([_WG_BATCH_COMPONENT, _GM_COMPONENT]))
+    structure = draw(st.sampled_from(structures))
+    n = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 6))
+    return [SystemSpec(tuple(draw(st.lists(component, min_size=n, max_size=n))), structure)
+            for _ in range(count)]
+
+
+class TestBatchedEvaluation:
+    # every row of a stacked evaluation equals the per-component loop on
+    # that row's system, bit for bit
+    @given(_batches(), _POINTS, st.floats(0.25, 4.0))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_the_component_loop(self, systems, xs, spread):
+        points = np.array(xs) * np.geomspace(1.0, spread, len(systems))[:, None]
+        stack = SystemStack.of(systems)
+        if systems[0].structure == "series":
+            checks = [(stack.sf, _loop_series_sf), (stack.hazard, _loop_series_hazard)]
+        else:
+            checks = [(stack.cdf, _loop_parallel_cdf)]
+        for batched, loop in checks:
+            rows = batched(points)
+            for system, row, x in zip(systems, rows, points):
+                assert np.array_equal(row, loop(system, x))
+
+    @given(_batches(), _POINTS)
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_the_single_system(self, systems, xs):
+        points = np.tile(np.array(xs), (len(systems), 1))
+        stack = SystemStack.of(systems)
+        for name in ("sf", "cdf", "hazard", "pdf"):
+            rows = getattr(stack, name)(points)
+            for system, row in zip(systems, rows):
+                assert np.array_equal(row, getattr(system, name)(points[0])), name
+
+    def test_mismatched_systems_are_rejected(self):
+        wg, gm = WeibullG(1.0, 2.0, 1.0), GompertzMakeham(1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            SystemStack.of([SystemSpec((wg,), "series"), SystemSpec((gm,), "series")])
+        with pytest.raises(ValueError):
+            SystemStack.of([SystemSpec((wg,), "series"), SystemSpec((wg,), "parallel")])
+        with pytest.raises(ValueError):
+            SystemStack.of([SystemSpec((wg,), "series"), SystemSpec((wg, wg), "series")])
+
+    def test_mixed_family_system_keeps_component_order(self):
+        parts = (WeibullG(1.5, 2.0, 0.8), GompertzMakeham(0.7, 1.1, 0.3), WeibullG(0.4, 3.0, 1.2))
+        system = SystemSpec(parts, "series")
+        xs = np.linspace(0.05, 1.5, 25)
+        assert np.array_equal(system.sf(xs), _loop_series_sf(system, xs))
+        assert np.array_equal(system.hazard(xs), _loop_series_hazard(system, xs))
+
+    def test_component_stack_needs_a_known_family(self):
+        with pytest.raises(TypeError):
+            ComponentStack(object, (np.ones((1, 1)),) * 3)
+
+
+class TestBatchedTailSearch:
+    @given(_batches(), st.sampled_from([1e-6, 1e-12]))
+    @settings(max_examples=150, deadline=None)
+    def test_every_row_brackets_and_equals_a_batch_of_one(self, systems, tail):
+        points = _support_upper(SystemStack.of(systems).sf, tail, rows=len(systems))
+        assert points.shape == (len(systems),)
+        for system, x in zip(systems, points):
+            assert system.sf(x) <= tail < system.sf(np.nextafter(x, 0.0))
+            assert x == system.support_upper(tail)
 
 
 class TestScalarArrayAgreement:
