@@ -7,11 +7,14 @@ relations, and ``sample`` draws lifetimes and reports the KS distance
 against the analytic law.
 
 Every invocation exits 0 (success / order holds), 2 (input error), or
-3 (a certified order or scenario failed). CSV files use the shortest
-round-trip decimal formatting and are written atomically (temp file
-plus rename), so identical configs and seeds give byte-identical
-outputs. The ``--seed`` flag falls back to the STOCHORD_SEED
-environment variable, then to 0.
+3 (a certified order or scenario failed). Every CSV field is
+byte-identical to ``repr(float(v))``, the shortest decimal that reads
+back as ``v``, so identical configs and seeds give byte-identical
+outputs. Rows are formatted and written in chunks of
+``csvformat.CHUNK_ROWS`` (8192), so memory stays bounded for any
+``--n``, and each file is written atomically (temp file plus rename).
+The ``--seed`` flag falls back to the STOCHORD_SEED environment
+variable, then to 0.
 """
 
 from __future__ import annotations
@@ -22,11 +25,13 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from .bench import SCENARIO_IDS, TheoremScenario, run_scenario
+from .csvformat import csv_chunks
 from .errors import ConfigError, StochordError
 from .majorization import (
     as_param_matrix,
@@ -82,12 +87,19 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_csv(path: Path, header: str, columns, index: bool = False) -> None:
+    """Write a CSV of float columns atomically, streamed in row chunks.
+
+    The file is written to a temp file beside ``path`` and renamed over it,
+    so readers never see a partial file.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(f"{header}\n".encode("ascii"))
+            for chunk in csv_chunks(columns, index=index):
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -95,20 +107,6 @@ def _write_atomic(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def _write_curve_csv(path: Path, xs, lhs, rhs, diff) -> None:
-    rows = ["x,lhs,rhs,diff"]
-    for k in range(len(xs)):
-        rows.append(f"{_fmt(xs[k])},{_fmt(lhs[k])},{_fmt(rhs[k])},{_fmt(diff[k])}")
-    _write_atomic(path, "\n".join(rows) + "\n")
-
-
-def _write_sample_csv(path: Path, values) -> None:
-    rows = ["index,value"]
-    for k, v in enumerate(values, start=1):
-        rows.append(f"{k},{_fmt(v)}")
-    _write_atomic(path, "\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +233,7 @@ def cmd_compare(rc: RunConfig) -> int:
     verdict = certify(order, first, second, grid=grid)
     xs, lhs, rhs, diff = _curve_points(order, first, second, grid)
     out = Path(rc.out_dir or ".") / "compare_curve.csv"
-    _write_curve_csv(out, xs, lhs, rhs, diff)
+    _write_csv(out, "x,lhs,rhs,diff", [xs, lhs, rhs, diff])
     print("command: compare")
     print(f"order: {order}")
     print(f"first: {first.label}")
@@ -266,8 +264,8 @@ def cmd_verify_theorem(rc: RunConfig) -> int:
         print(line)
     if rc.out_dir is not None and report.curve is not None:
         out = Path(rc.out_dir) / f"theorem_{sid}_curve.csv"
-        _write_curve_csv(out, report.curve.x, report.curve.lhs,
-                         report.curve.rhs, report.curve.diff)
+        curve = report.curve
+        _write_csv(out, "x,lhs,rhs,diff", [curve.x, curve.lhs, curve.rhs, curve.diff])
         print(f"curve: {out}")
     return 0 if report.all_passed else 3
 
@@ -356,7 +354,7 @@ def cmd_sample(rc: RunConfig) -> int:
         batch = sample(model, count, rc.seed)
         ks = ks_distance(batch, model)
         label = model.label
-    _write_sample_csv(out, batch.values)
+    _write_csv(out, "index,value", [batch.values], index=True)
     print("command: sample")
     print(f"model: {label}")
     print(f"count: {count}")
@@ -370,7 +368,9 @@ def cmd_sample(rc: RunConfig) -> int:
 # argument parsing
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as built."""
     parser = argparse.ArgumentParser(
         prog="stochord",
         description="Certify stochastic orderings between heterogeneous component systems.",

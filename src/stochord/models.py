@@ -7,12 +7,11 @@ distribution F. With w(t) = F(t) / (1 - F(t)),
     S(x) = exp(-H(x))
     r(x) = alpha beta gamma w(gamma x)**(beta - 1) w'(gamma x)
 
-The standard exponential baseline gives w(t) = e^t - 1 with
-w' = w'' = w''' = e^t, so every derived quantity (including the quantile
-function) is available in closed form. Arbitrary baselines are supported
-through a user-supplied cdf/pdf pair; the first odds derivative is then
-computed analytically from the pdf and higher derivatives fall back to
-central finite differences.
+The standard exponential baseline gives w(t) = e^t - 1 with w' = e^t,
+so every derived quantity (including the quantile function) is available
+in closed form. Arbitrary baselines are supported through a
+user-supplied cdf/pdf pair, from which w and w'(t) = f(t) / (1 - F(t))^2
+follow analytically.
 
 The Gompertz-Makeham lifetime has hazard rate lambda + alpha e^{beta x}
 and survival function
@@ -51,7 +50,6 @@ from .errors import ConvergenceError, EvaluationDomainError
 _EXP_ARG_MAX = 700.0
 _QUANTILE_MAX_ITER = 200
 _QUANTILE_RESIDUAL = 1e-12
-_FD_STEP = 1e-5
 # interior points of a section-search round, as fractions of the bracket; 127
 # was the fastest of 127, 511, 2047 and 8191: larger sections make fewer sf
 # calls but cost more per call
@@ -174,32 +172,28 @@ def gm_hazard(x, alpha, beta, lam) -> np.ndarray:
 class OddsFn:
     """The odds transform w(t) = F(t) / (1 - F(t)) of a baseline cdf.
 
-    Bundles the transform with its first three derivatives, which is as
-    deep as any hazard or density expression in this package needs.
+    Bundles the transform with its first derivative, which is as deep as
+    any hazard or density expression in this package needs.
 
     Attributes
     ----------
-    w, d1, d2, d3 : callable
-        Vectorized evaluators for w and its derivatives.
+    w, d1 : callable
+        Vectorized evaluators for w and w'.
     """
 
     w: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
-    d3: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def exponential(cls) -> "OddsFn":
         """Exact odds of the standard exponential: w(t) = e^t - 1."""
-        return cls(w=np.expm1, d1=np.exp, d2=np.exp, d3=np.exp)
+        return cls(w=np.expm1, d1=np.exp)
 
     @classmethod
     def from_cdf_pdf(cls, cdf: Callable, pdf: Callable) -> "OddsFn":
         """Build the odds transform of an arbitrary baseline.
 
-        The first derivative uses the identity w'(t) = f(t) / (1 - F(t))^2;
-        the second and third use central finite differences of w' with
-        step 1e-5 * max(1, |t|).
+        The derivative uses the identity w'(t) = f(t) / (1 - F(t))^2.
         """
 
         def w(t):
@@ -214,17 +208,7 @@ class OddsFn:
             with np.errstate(divide="ignore"):
                 return np.asarray(pdf(t) / (1.0 - f_val) ** 2, dtype=float)
 
-        def d2(t):
-            t = _as_array(t)
-            h = _FD_STEP * np.maximum(1.0, np.abs(t))
-            return (d1(t + h) - d1(t - h)) / (2.0 * h)
-
-        def d3(t):
-            t = _as_array(t)
-            h = _FD_STEP * np.maximum(1.0, np.abs(t))
-            return (d1(t + h) - 2.0 * d1(t) + d1(t - h)) / h**2
-
-        return cls(w=w, d1=d1, d2=d2, d3=d3)
+        return cls(w=w, d1=d1)
 
 
 @dataclass(frozen=True)
@@ -238,7 +222,7 @@ class Baseline:
     cdf, pdf : callable
         Evaluators for F and its density on [0, inf).
     odds : OddsFn
-        The odds transform of F with derivatives.
+        The odds transform of F with its derivative.
     """
 
     kind: str

@@ -2,18 +2,21 @@
 stdout fields, CSV exports, and config error anchoring.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stochord.cli import main
+from stochord.cli import _build_parser, main
 
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EXAMPLE1 = str(_CONFIGS / "example1.json")
+EXAMPLE2 = str(_CONFIGS / "example2.json")
 EX1 = str(_CONFIGS / "ex1.json")
 EX1_STAR = str(_CONFIGS / "ex1_star.json")
+SYSTEM = str(_CONFIGS / "system.json")
 
 
 def run(capsys, *argv):
@@ -261,6 +264,54 @@ class TestSeedResolution:
         assert code == 2 and "STOCHORD_SEED" in err
 
 
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenBytes:
+    """sha256 of the CSVs written by the per-value repr writer the CLI had
+    before the numpy formatter (x86-64, numpy 2.4); any change in a
+    formatted byte, or in the values behind it, shows here."""
+
+    @pytest.mark.parametrize("config, order, digest", [
+        (EXAMPLE1, "st", "1de7ce06e3090ac51d1c19788c04257a48155e5c2144a0f39fda0db93bd20311"),
+        (EXAMPLE1, "hr", "eccbce122b275773f667e56fa7bdc6ab43f7e05ec5efed2705243aa12477707c"),
+        (EXAMPLE1, "rh", "8e5428a8921d9051e39f6cc34cc911817a6f6afa02a7b50ecfcd20d452078581"),
+        (EXAMPLE1, "lr", "3f6486434f002e615ada745be05bd7d9b58048495cfb71f9501bf61c40333c05"),
+        (EXAMPLE2, "st", "72e11a462de40393af81f1440841cfae9ce7e6b3ea0548669b77fd140b2ff9c1"),
+        (EXAMPLE2, "hr", "87850b7032065d5052d9dc82eee464423bd276ff54176d0ea9076f28050266b7"),
+        (EXAMPLE2, "rh", "918048aefc1a7f6b3ea69a6db21b3fe138d0b79a4388ed310efcdc8382986366"),
+        (EXAMPLE2, "lr", "0a0e8acd8a1c1462f4df1b3c884e1793ef23e8e4e3500f9639d4dea3b4a0acfc"),
+    ])
+    def test_compare_curves(self, capsys, tmp_path, config, order, digest):
+        run(capsys, "compare", "--config", config, "--order", order, "--out", str(tmp_path))
+        assert sha256(tmp_path / "compare_curve.csv") == digest
+
+    def test_parallel_curve_with_inf_and_nan_rows(self, capsys, tmp_path):
+        doc = json.load(open(EXAMPLE1))
+        doc["first"]["structure"] = doc["second"]["structure"] = "parallel"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        run(capsys, "compare", "--config", str(cfg), "--order", "hr", "--xmax", "50",
+            "--out", str(tmp_path))
+        text = (tmp_path / "compare_curve.csv").read_text()
+        assert "inf" in text and "nan" in text
+        assert sha256(tmp_path / "compare_curve.csv") == \
+            "c20d426877a70ec70e7518eff016f646b90b2a2d6c0c0c99db58d1d50b78badd"
+
+    def test_model_sample(self, capsys, tmp_path):
+        run(capsys, "sample", "--family", "gm", "--alpha", "4.8", "--beta", "2.5",
+            "--lambda", "1", "--n", "100000", "--seed", "3", "--out", str(tmp_path))
+        assert sha256(tmp_path / "samples.csv") == \
+            "e7fbba2204e12dffb73caf8c16b0f337bdcf72f1ff55b647536775f822e93c50"
+
+    def test_parallel_system_sample(self, capsys, tmp_path):
+        run(capsys, "sample", "--config", SYSTEM, "--n", "5000", "--seed", "11",
+            "--out", str(tmp_path))
+        assert sha256(tmp_path / "samples.csv") == \
+            "985e669b1f4ec58ed69b098d678939d21cc0243763999a8408303782b11ef5e8"
+
+
 class TestArgparseSurface:
     def test_no_command_is_usage_error(self, capsys):
         assert run(capsys, )[0] == 2
@@ -271,3 +322,23 @@ class TestArgparseSurface:
 
     def test_compare_requires_config_flag(self, capsys):
         assert run(capsys, "compare")[0] == 2
+
+    def test_reused_parser_behaves_as_a_fresh_one(self, capsys, tmp_path):
+        out = str(tmp_path)
+        calls = [
+            ("compare", "--config", EXAMPLE1, "--order", "st", "--out", out),
+            ("sample", "--family", "gm", "--alpha", "1", "--beta", "1", "--lambda", "1",
+             "--n", "20", "--seed", "2", "--out", out),
+            ("--help",),
+            ("sample", "--family", "gm", "--alpha", "1", "--beta", "1", "--lambda", "1"),
+            ("compare",),
+            ("majorize", "--a", "2,2,2", "--b", "1,2,3"),
+            ("sample", "--bogus"),
+            ("compare", "--config", EXAMPLE1, "--out", out),
+        ]
+        reused = [run(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in reused] == [0, 0, 0, 2, 2, 0, 2, 0]
+        assert _build_parser() is _build_parser()
+        for argv, result in zip(calls, reused):
+            _build_parser.cache_clear()
+            assert run(capsys, *argv) == result

@@ -314,7 +314,7 @@ class TestCustomBaseline:
         assert_allclose(model.cumulative_hazard(x), expected_chf, rtol=1e-12)
         assert model.cdf(2.5) == 1.0  # baseline saturated: odds infinite
 
-    def test_finite_difference_odds_derivatives(self):
+    def test_user_odds_derivative_matches_exponential(self):
         odds = EXPONENTIAL_STANDARD.odds
         custom = OddsFn.from_cdf_pdf(
             cdf=lambda t: -np.expm1(-np.asarray(t, dtype=float)),
@@ -322,8 +322,6 @@ class TestCustomBaseline:
         )
         ts = np.linspace(0.1, 2.0, 16)
         assert_allclose(custom.d1(ts), odds.d1(ts), rtol=1e-12)
-        assert_allclose(custom.d2(ts), odds.d2(ts), rtol=1e-4)
-        assert_allclose(custom.d3(ts), odds.d3(ts), rtol=1e-3)
 
     def test_quantile_convergence_error_when_mass_unreachable(self):
         from stochord.models import _invert_cdf
