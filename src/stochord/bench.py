@@ -300,10 +300,11 @@ class _Draw(NamedTuple):
 
     ``systems`` holds each system's (3, n) parameter rows in the family's
     declaration order. Each pair (i, j) of ``pairs`` is a verdict that
-    system i lies below system j in the plan's order; ``tail`` names the
-    systems whose tail points set the grid end. ``judge`` turns the
-    verdicts and the grid into (ok, failure detail); ``curve``, if set,
-    replaces the exported curve of the first and last system.
+    system i lies below system j in the plan's order; the last pair is
+    the first and last system, whose verdict's curve is exported. ``tail``
+    names the systems whose tail points set the grid end. ``judge`` turns
+    the verdicts and the grid into (ok, failure detail); ``curve``, if set,
+    replaces the exported curve.
     """
 
     systems: list[np.ndarray]
@@ -507,10 +508,9 @@ def _blocks(draws: list[_Draw], rows: int):
 
 
 def _certify_block(scenario: TheoremScenario, plan: _Plan, draws: list[_Draw],
-                   grids: np.ndarray) -> list[tuple[list[OrderVerdict], list[np.ndarray]]]:
+                   grids: np.ndarray) -> list[list[OrderVerdict]]:
     """Evaluate the systems of draws sharing one component count on their
-    grid rows, and certify every pair; returns each draw's verdicts and
-    slab rows."""
+    grid rows, and certify every pair; returns each draw's verdicts."""
     members = [(k, i) for k, d in enumerate(draws) for i in range(len(d.systems))]
     stack = _stack(plan.family, plan.structure, [draws[k].systems[i] for k, i in members])
     xs = grids[[k for k, _ in members]]
@@ -524,24 +524,21 @@ def _certify_block(scenario: TheoremScenario, plan: _Plan, draws: list[_Draw],
                             [values[(k, j)] for k, _, j in rows], [grids[k] for k, _, _ in rows],
                             tolerance=scenario.tolerance, keep=keep)
     out, start = [], 0
-    for k, d in enumerate(draws):
-        out.append((verdicts[start:start + len(d.pairs)],
-                    [values[(k, i)] for i in range(len(d.systems))]))
+    for d in draws:
+        out.append(verdicts[start:start + len(d.pairs)])
         start += len(d.pairs)
     return out
 
 
-def _curve(plan: _Plan, draw: _Draw, xs: np.ndarray, first: np.ndarray,
-           last: np.ndarray) -> CurveSample:
-    """The exported curve of the first instance, from copies of its slab rows."""
-    xs = xs.copy()
+def _curve(plan: _Plan, draw: _Draw, xs: np.ndarray, last: OrderVerdict) -> CurveSample:
+    """The exported curve of the first instance: copies of the curve of its
+    last verdict, which compares its first and last system."""
     if draw.curve is not None:
-        return draw.curve(xs)
-    lhs, rhs = first.copy(), last.copy()
+        return draw.curve(xs.copy())
+    curve = last.curve
     lhs_label, rhs_label = _CURVE_LABELS[plan.order]
-    diff = lhs - rhs if plan.order == "hr" else rhs - lhs
-    return CurveSample(x=xs, lhs=lhs, rhs=rhs, diff=diff, lhs_label=lhs_label,
-                       rhs_label=rhs_label)
+    return CurveSample(x=curve.x.copy(), lhs=curve.lhs.copy(), rhs=curve.rhs.copy(),
+                       diff=curve.diff.copy(), lhs_label=lhs_label, rhs_label=rhs_label)
 
 
 def _run(scenario: TheoremScenario, disabled: str | None) -> BenchReport:
@@ -557,16 +554,17 @@ def _run(scenario: TheoremScenario, disabled: str | None) -> BenchReport:
     for block in _blocks(draws, max(1, _SLAB_CELLS // scenario.grid_count)):
         grids = grid_points(x_max[block], scenario.grid_count, span_decades=plan.span_decades)
         certified = _certify_block(scenario, plan, [draws[k] for k in block], grids)
-        for k, xs, (verdicts, values) in zip(block, grids, certified):
+        for k, xs, verdicts in zip(block, grids, certified):
             ok, detail = draws[k].judge(verdicts, xs)
-            outcomes[k] = (ok, detail, min(verdicts, key=lambda v: v.margin))
+            # the worst verdict's figures only: its curve holds slab rows
+            worst = min(verdicts, key=lambda v: v.margin)
+            outcomes[k] = (ok, detail, worst.margin, worst.witness_x)
             if k == 0:
-                curve = _curve(plan, draws[0], xs, values[0], values[-1])
+                curve = _curve(plan, draws[0], xs, verdicts[-1])
 
     failures = tuple(
-        InstanceFailure(index=index, detail=detail, margin=worst.margin,
-                        witness_x=worst.witness_x)
-        for index, (ok, detail, worst) in enumerate(outcomes) if not ok)
+        InstanceFailure(index=index, detail=detail, margin=margin, witness_x=witness_x)
+        for index, (ok, detail, margin, witness_x) in enumerate(outcomes) if not ok)
     return BenchReport(
         scenario_id=scenario.scenario_id,
         claim=_CLAIMS[scenario.scenario_id],
@@ -575,7 +573,7 @@ def _run(scenario: TheoremScenario, disabled: str | None) -> BenchReport:
         grid_count=scenario.grid_count,
         tolerance=scenario.tolerance,
         passed=scenario.count - len(failures),
-        worst_margin=float(min(worst.margin for _, _, worst in outcomes)),
+        worst_margin=float(min(margin for _, _, margin, _ in outcomes)),
         failures=failures,
         curve=curve,
         disabled_hypothesis=disabled,

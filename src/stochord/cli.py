@@ -147,14 +147,16 @@ def _positive_number(obj: dict, key: str, path: str, where: str) -> float:
     return float(value)
 
 
+def _model(family: str, values) -> WeibullG | GompertzMakeham:
+    """The model of ``family`` with parameter ``values`` in _FAMILY_PARAMS order."""
+    return (WeibullG if family == "weibull-g" else GompertzMakeham)(*values)
+
+
 def _component_from(obj, family: str, path: str, where: str):
     comp = _expect_mapping(obj, path, where)
     params = _FAMILY_PARAMS[family]
     _reject_unknown(comp, params, path, where)
-    values = {key: _positive_number(comp, key, path, where) for key in params}
-    if family == "weibull-g":
-        return WeibullG(alpha=values["alpha"], beta=values["beta"], gamma=values["gamma"])
-    return GompertzMakeham(alpha=values["alpha"], beta=values["beta"], lam=values["lambda"])
+    return _model(family, [_positive_number(comp, key, path, where) for key in params])
 
 
 def _system_from(obj, path: str, where: str) -> SystemSpec:
@@ -198,42 +200,13 @@ def _parse_compare_config(path: str, order_flag: str | None):
 # commands
 
 
-def _curve_points(order: str, first, second, grid: Grid):
-    xs = grid.points
-    if order == "st":
-        lhs = np.asarray(first.sf(xs))
-        rhs = np.asarray(second.sf(xs))
-        return xs, lhs, rhs, rhs - lhs
-    if order == "hr":
-        lhs = np.asarray(first.hazard(xs))
-        rhs = np.asarray(second.hazard(xs))
-        # past the support both hazards may be inf; certify_hr drops inf - inf
-        with np.errstate(invalid="ignore"):
-            return xs, lhs, rhs, lhs - rhs
-    if order == "rh":
-        keep = (np.asarray(first.cdf(xs)) > 0.0) & (np.asarray(second.cdf(xs)) > 0.0)
-        xs = xs[keep]
-        lhs = np.asarray(first.reversed_hazard(xs))
-        rhs = np.asarray(second.reversed_hazard(xs))
-        return xs, lhs, rhs, rhs - lhs
-    pdf_f = np.asarray(first.pdf(xs))
-    pdf_g = np.asarray(second.pdf(xs))
-    keep = (pdf_f > 0.0) & (pdf_g > 0.0) & np.isfinite(pdf_f) & np.isfinite(pdf_g)
-    xs = xs[keep]
-    lhs = np.log(pdf_f[keep])
-    rhs = np.log(pdf_g[keep])
-    ratio = rhs - lhs
-    diff = np.concatenate([[0.0], np.diff(ratio)])
-    return xs, lhs, rhs, diff
-
-
 def cmd_compare(rc: RunConfig) -> int:
     order, first, second = _parse_compare_config(rc.config_path, rc.order)
     grid = Grid.for_models(first, second, count=rc.grid_count, x_max=rc.x_max)
     verdict = certify(order, first, second, grid=grid)
-    xs, lhs, rhs, diff = _curve_points(order, first, second, grid)
+    curve = verdict.curve
     out = Path(rc.out_dir or ".") / "compare_curve.csv"
-    _write_csv(out, "x,lhs,rhs,diff", [xs, lhs, rhs, diff])
+    _write_csv(out, "x,lhs,rhs,diff", [curve.x, curve.lhs, curve.rhs, curve.diff])
     print("command: compare")
     print(f"order: {order}")
     print(f"first: {first.label}")
@@ -339,18 +312,11 @@ def cmd_sample(rc: RunConfig) -> int:
         if family is None:
             raise ConfigError("--family must be weibull-g (wg) or gompertz-makeham (gm), "
                               "or pass --config")
-        needed = _FAMILY_PARAMS[family]
-        values = {}
-        for key in needed:
-            attr = "lam" if key == "lambda" else key
-            if args[attr] is None:
+        values = [args["lam" if key == "lambda" else key] for key in _FAMILY_PARAMS[family]]
+        for key, value in zip(_FAMILY_PARAMS[family], values):
+            if value is None:
                 raise ConfigError(f"--{key} is required for family {family}")
-            values[key] = args[attr]
-        if family == "weibull-g":
-            model = WeibullG(alpha=values["alpha"], beta=values["beta"], gamma=values["gamma"])
-        else:
-            model = GompertzMakeham(alpha=values["alpha"], beta=values["beta"],
-                                    lam=values["lambda"])
+        model = _model(family, values)
         batch = sample(model, count, rc.seed)
         ks = ks_distance(batch, model)
         label = model.label

@@ -11,9 +11,11 @@ monotonicity check on an evaluation grid:
   log space.
 
 Each certificate reports the worst slack (the margin), the tolerance it
-was judged against, and a witness abscissa when the order fails. The
-module also carries the small analytic toolkit used by the ordering
-proofs: the sign lemmas h1 and h2 and the reversed-hazard weight
+was judged against, a witness abscissa when the order fails, and the
+``Curve`` it judged: the two sides and the slack at each grid point,
+oriented as above. Exported curves are taken from it. The module also
+carries the small analytic toolkit used by the ordering proofs: the sign
+lemmas h1 and h2 and the reversed-hazard weight
 g(alpha) = alpha / (e^{alpha z} - 1), plus a finite-difference Schur
 condition checker.
 """
@@ -21,7 +23,7 @@ condition checker.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +45,6 @@ class Grid:
     """
 
     points: np.ndarray
-    policy: str = "log"
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -53,8 +54,6 @@ class Grid:
             raise ValueError("grid points must be positive and finite")
         if np.any(np.diff(pts) <= 0.0):
             raise ValueError("grid points must be strictly increasing")
-        if self.policy not in ("log", "linear"):
-            raise ValueError(f"policy must be 'log' or 'linear', got {self.policy!r}")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -66,16 +65,14 @@ class Grid:
         cls,
         *dists,
         count: int = _DEFAULT_COUNT,
-        policy: str = "log",
         x_max: float | None = None,
         tail: float = 1e-6,
         span_decades: float = _SPAN_DECADES,
     ) -> "Grid":
-        """Grid over (0, x_max], log-spaced by default.
+        """Log-spaced grid over ``span_decades`` decades below x_max.
 
         x_max defaults to the largest support_upper(tail) across the
-        given distributions; the log policy spans ``span_decades``
-        decades below it.
+        given distributions.
         """
         if x_max is None:
             if not dists:
@@ -83,21 +80,36 @@ class Grid:
             x_max = max(float(d.support_upper(tail)) for d in dists)
         if not np.isfinite(x_max) or x_max <= 0.0:
             raise ValueError(f"x_max must be positive and finite, got {x_max!r}")
-        return cls(points=grid_points(x_max, count, policy, span_decades), policy=policy)
+        return cls(points=grid_points(x_max, count, span_decades))
 
 
-def grid_points(x_max, count: int = _DEFAULT_COUNT, policy: str = "log",
+def grid_points(x_max, count: int = _DEFAULT_COUNT,
                 span_decades: float = _SPAN_DECADES) -> np.ndarray:
     """The points of Grid.for_models over (0, x_max], one row per entry of an array x_max.
 
     Each row is bit-identical to the grid of its x_max alone.
     """
     x_max = np.asarray(x_max, dtype=float)
-    if policy == "log":
-        pts = np.geomspace(x_max * 10.0 ** (-span_decades), x_max, count, axis=-1)
-    else:
-        pts = np.linspace(x_max / count, x_max, count, axis=-1)
+    pts = np.geomspace(x_max * 10.0 ** (-span_decades), x_max, count, axis=-1)
     return np.ascontiguousarray(pts)
+
+
+@dataclass(frozen=True, eq=False)
+class Curve:
+    """The evaluated curve a certifier judged.
+
+    ``lhs`` and ``rhs`` are the two sides at each point of ``x``: sf (st),
+    hazard (hr), reversed hazard (rh), log density (lr) or, for hr on the
+    sf-ratio path, sf. ``diff`` is the slack at each point, inf and NaN
+    included, for the pointwise orders; for the monotone orders it is the
+    increment of the ratio (rhs - lhs in log space for lr, rhs / lhs for
+    sf-ratio) from the point before, with 0 at the first point.
+    """
+
+    x: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    diff: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -111,7 +123,9 @@ class OrderVerdict:
     ``witness_x`` pins the failing abscissa otherwise. ``truncated``
     marks ratio or log paths that were shortened because a survival or
     density value underflowed before the grid end, and verdicts that
-    excluded grid points where the slack was not finite.
+    excluded grid points where the slack was not finite. ``curve`` is the
+    ``Curve`` the margin was taken from, before non-finite slack was
+    dropped; it takes no part in comparing verdicts.
     """
 
     order: str
@@ -122,6 +136,7 @@ class OrderVerdict:
     grid_count: int
     method: str
     truncated: bool = False
+    curve: Curve | None = field(default=None, compare=False, repr=False)
 
 
 def _default_tolerance(scale: float) -> float:
@@ -142,6 +157,7 @@ def _finish(
     scaled: tuple[np.ndarray, ...],
     method: str,
     truncated: bool,
+    curve: Curve,
 ) -> OrderVerdict:
     """Judge the slack; points where it is not finite are excluded and truncate.
 
@@ -166,6 +182,7 @@ def _finish(
         grid_count=int(witness_pool.size),
         method=method,
         truncated=truncated,
+        curve=curve,
     )
 
 
@@ -174,16 +191,32 @@ _POINTWISE = {"st": "sf-pointwise", "hr": "hazard", "rh": "reversed-hazard"}
 
 
 def _pointwise(order: str, f_values: np.ndarray, g_values: np.ndarray, xs: np.ndarray,
-               tolerance: float | None, truncated: bool) -> OrderVerdict:
+               tolerance: float | None, keep: np.ndarray | None = None) -> OrderVerdict:
     """Judge f <= g from both sides' sf (st), hazard (hr) or reversed hazard (rh).
 
-    hr needs r_f >= r_g, the others f's value <= g's. Past the support two
-    hazards may both be inf; _finish drops the inf - inf slack.
+    hr needs r_f >= r_g, the others f's value <= g's. ``keep``, if given,
+    marks the points where the values are defined; dropping any truncates
+    the verdict. Past the support two hazards may both be inf; _finish
+    drops the inf - inf slack, which the curve keeps.
     """
+    truncated = keep is not None and not keep.all()
+    if truncated:
+        f_values, g_values, xs = f_values[keep], g_values[keep], xs[keep]
+        if xs.size < 2:
+            raise EvaluationDomainError("cdf underflow leaves fewer than two usable grid points")
     with np.errstate(invalid="ignore"):
         slack = f_values - g_values if order == "hr" else g_values - f_values
     return _finish(order, slack, xs, tolerance, (f_values, g_values), _POINTWISE[order],
-                   truncated)
+                   truncated, Curve(xs, f_values, g_values, slack))
+
+
+def _monotone(order: str, xs: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
+              ratio: np.ndarray, tolerance: float | None, method: str,
+              truncated: bool) -> OrderVerdict:
+    """Judge ``ratio`` (of rhs to lhs) non-decreasing by its consecutive increments."""
+    slack = np.diff(ratio)
+    return _finish(order, slack, xs[1:], tolerance, (ratio,), method, truncated,
+                   Curve(xs, lhs, rhs, np.concatenate([[0.0], slack])))
 
 
 def certify_rows(order: str, f_values, g_values, points, tolerance: float | None = None,
@@ -194,21 +227,14 @@ def certify_rows(order: str, f_values, g_values, points, tolerance: float | None
     hazard (hr) or reversed hazard (rh) on row r of ``points``; each may
     be an (R, G) array or a sequence of R rows. ``keep``, if given, marks
     the points of each row where the values are defined; dropping any
-    truncates that row's verdict. Row r's verdict is the one certify_st,
-    certify_hr (method "hazard") or certify_rh reaches on that row's grid.
+    truncates that row's verdict. Row r's verdict, curve included, is the
+    one certify_st, certify_hr (method "hazard") or certify_rh reaches on
+    that row's grid.
     """
     if order not in _POINTWISE:
         raise ValueError(f"row certification covers {tuple(_POINTWISE)}, got {order!r}")
-    verdicts = []
-    for r, (f, g, xs) in enumerate(zip(f_values, g_values, points)):
-        truncated = False
-        if keep is not None and not keep[r].all():
-            f, g, xs, truncated = f[keep[r]], g[keep[r]], xs[keep[r]], True
-            if xs.size < 2:
-                raise EvaluationDomainError(
-                    "cdf underflow leaves fewer than two usable grid points")
-        verdicts.append(_pointwise(order, f, g, xs, tolerance, truncated))
-    return verdicts
+    return [_pointwise(order, f, g, xs, tolerance, None if keep is None else keep[r])
+            for r, (f, g, xs) in enumerate(zip(f_values, g_values, points))]
 
 
 def _resolve_grid(f, g, grid: Grid | None, count: int) -> Grid:
@@ -220,7 +246,7 @@ def certify_st(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
     """Certify f <= g in the usual stochastic order: sf_f <= sf_g pointwise."""
     grid = _resolve_grid(f, g, grid, count)
     xs = grid.points
-    return _pointwise("st", np.asarray(f.sf(xs)), np.asarray(g.sf(xs)), xs, tolerance, False)
+    return _pointwise("st", np.asarray(f.sf(xs)), np.asarray(g.sf(xs)), xs, tolerance)
 
 
 def certify_hr(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
@@ -241,7 +267,7 @@ def certify_hr(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
 
     if method == "hazard":
         return _pointwise("hr", np.asarray(f.hazard(xs)), np.asarray(g.hazard(xs)), xs,
-                          tolerance, False)
+                          tolerance)
 
     sf_f = np.asarray(f.sf(xs))
     sf_g = np.asarray(g.sf(xs))
@@ -249,12 +275,10 @@ def certify_hr(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
         ratio = sf_g / sf_f
     valid = (sf_f > 0.0) & np.isfinite(ratio)
     cut = int(np.argmin(valid)) if not bool(valid.all()) else valid.size
-    truncated = cut < valid.size
     if cut < 2:
         raise EvaluationDomainError("survival underflow leaves fewer than two usable grid points")
-    ratio = ratio[:cut]
-    slack = np.diff(ratio)
-    return _finish("hr", slack, xs[1:cut], tolerance, (ratio,), "sf-ratio", truncated)
+    return _monotone("hr", xs[:cut], sf_f[:cut], sf_g[:cut], ratio[:cut], tolerance,
+                     "sf-ratio", cut < valid.size)
 
 
 def certify_rh(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
@@ -267,16 +291,10 @@ def certify_rh(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
     """
     grid = _resolve_grid(f, g, grid, count)
     xs = grid.points
-    cdf_f = np.asarray(f.cdf(xs))
-    cdf_g = np.asarray(g.cdf(xs))
-    keep = (cdf_f > 0.0) & (cdf_g > 0.0)
-    truncated = not bool(keep.all())
-    xs_kept = xs[keep]
-    if xs_kept.size < 2:
-        raise EvaluationDomainError("cdf underflow leaves fewer than two usable grid points")
-    rh_f = np.asarray(f.reversed_hazard(xs_kept))
-    rh_g = np.asarray(g.reversed_hazard(xs_kept))
-    return _pointwise("rh", rh_f, rh_g, xs_kept, tolerance, truncated)
+    keep = (np.asarray(f.cdf(xs)) > 0.0) & (np.asarray(g.cdf(xs)) > 0.0)
+    rh_f, rh_g = np.full(xs.shape, np.nan), np.full(xs.shape, np.nan)
+    rh_f[keep], rh_g[keep] = f.reversed_hazard(xs[keep]), g.reversed_hazard(xs[keep])
+    return _pointwise("rh", rh_f, rh_g, xs, tolerance, keep)
 
 
 def certify_lr(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
@@ -292,13 +310,12 @@ def certify_lr(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
     pdf_f = np.asarray(f.pdf(xs))
     pdf_g = np.asarray(g.pdf(xs))
     keep = (pdf_f > 0.0) & (pdf_g > 0.0) & np.isfinite(pdf_f) & np.isfinite(pdf_g)
-    truncated = not bool(keep.all())
     xs_kept = xs[keep]
     if xs_kept.size < 2:
         raise EvaluationDomainError("density underflow leaves fewer than two usable grid points")
-    log_ratio = np.log(pdf_g[keep]) - np.log(pdf_f[keep])
-    slack = np.diff(log_ratio)
-    return _finish("lr", slack, xs_kept[1:], tolerance, (log_ratio,), "log-pdf-ratio", truncated)
+    log_f, log_g = np.log(pdf_f[keep]), np.log(pdf_g[keep])
+    return _monotone("lr", xs_kept, log_f, log_g, log_g - log_f, tolerance, "log-pdf-ratio",
+                     not bool(keep.all()))
 
 
 def certify(order: str, f, g, **kwargs) -> OrderVerdict:

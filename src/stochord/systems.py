@@ -29,6 +29,7 @@ import numpy as np
 from .errors import EvaluationDomainError
 from .models import (
     EXPONENTIAL_STANDARD,
+    _EXP_ARG_MAX,
     ComponentStack,
     WeibullG,
     _as_array,
@@ -290,6 +291,6 @@ def lambda_aggregate_sf(lam, alpha: float, beta: float, x):
     total = math.fsum(lam)
     n = len(lam)
     xa = _as_array(x)
-    t = np.minimum(beta * xa, 700.0)
+    t = np.minimum(beta * xa, _EXP_ARG_MAX)
     out = np.exp(-total * xa - n * (alpha / beta) * np.expm1(t))
     return _match(x, out)

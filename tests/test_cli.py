@@ -270,8 +270,10 @@ def sha256(path: Path) -> str:
 
 class TestGoldenBytes:
     """sha256 of the CSVs written by the per-value repr writer the CLI had
-    before the numpy formatter (x86-64, numpy 2.4); any change in a
-    formatted byte, or in the values behind it, shows here."""
+    before the numpy formatter (x86-64, numpy 2.4); the verify-theorem
+    digests were taken before the exported curves came from the
+    certifiers' verdicts. Any change in a formatted byte, or in the values
+    behind it, shows here."""
 
     @pytest.mark.parametrize("config, order, digest", [
         (EXAMPLE1, "st", "1de7ce06e3090ac51d1c19788c04257a48155e5c2144a0f39fda0db93bd20311"),
@@ -298,6 +300,25 @@ class TestGoldenBytes:
         assert "inf" in text and "nan" in text
         assert sha256(tmp_path / "compare_curve.csv") == \
             "c20d426877a70ec70e7518eff016f646b90b2a2d6c0c0c99db58d1d50b78badd"
+
+    @pytest.mark.parametrize("scenario, digest", [
+        ("T3.1", "eccbce122b275773f667e56fa7bdc6ab43f7e05ec5efed2705243aa12477707c"),
+        ("T3.2", "96048e09963d7a9236f29d57184e3aad7dbe9ea3057ff0049676e75750070b5f"),
+        ("T3.3", "5f32818d9864d8239af130ee630a2124d0748b6156a9a8ee13cfdc974e50a0ed"),
+        ("T3.4", "9a0bd317b17816ab37812df774b2cf8b97f2294c75af9916e9bd694576f9cdec"),
+        ("T3.5", "22942c0823ea65fcb0de7297a3939dd5059f66cc93a8df4bfcf1af8be6d46839"),
+        ("T4.1", "87850b7032065d5052d9dc82eee464423bd276ff54176d0ea9076f28050266b7"),
+        ("T4.2", "d5cd188617de2b18a9b94c3b39f03bd378051b21bcdb8bc28a5e6f457d19729a"),
+        ("T4.3", "61d3ef17efeaad29bef2478293eea731c3bf98016790f68b643450ca624ecf6c"),
+        ("T4.4", "6c6fc747e77a7497bd4c1102bb4be4442fd2e1968c3c298e463c8e376f943b04"),
+        ("T4.5", "9ea4a0965f61f56fbc4f01058281291e2160fc4b3d9404105f8916a12762f17c"),
+    ])
+    def test_theorem_curves(self, capsys, tmp_path, scenario, digest):
+        # T3.1 and T4.1 pin the worked example: their curves are example1's
+        # and example2's hr curves
+        run(capsys, "verify-theorem", scenario, "--count", "2", "--seed", "0",
+            "--out", str(tmp_path))
+        assert sha256(tmp_path / f"theorem_{scenario}_curve.csv") == digest
 
     def test_model_sample(self, capsys, tmp_path):
         run(capsys, "sample", "--family", "gm", "--alpha", "4.8", "--beta", "2.5",

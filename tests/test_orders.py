@@ -17,6 +17,7 @@ from stochord import (
     GompertzMakeham,
     Grid,
     OrderVerdict,
+    STRUCTURES,
     SchurDiagnostics,
     SystemSpec,
     WeibullG,
@@ -45,10 +46,10 @@ class TestGrid:
         assert_allclose(grid.points[0], grid.points[-1] * 1e-4, rtol=1e-12)
         assert np.all(np.diff(grid.points) > 0)
 
-    def test_explicit_x_max_and_linear_policy(self):
-        grid = Grid.for_models(count=64, x_max=2.0, policy="linear")
+    def test_explicit_x_max(self):
+        grid = Grid.for_models(count=64, x_max=2.0)
         assert grid.points[-1] == 2.0
-        assert_allclose(np.diff(grid.points), grid.points[1] - grid.points[0], rtol=1e-9)
+        assert_allclose(grid.points[0], 2e-4, rtol=1e-12)
 
     @pytest.mark.parametrize("points", [
         np.linspace(0.1, 1.0, 8),             # too few
@@ -59,9 +60,7 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(points=points)
 
-    def test_policy_and_missing_input_validation(self):
-        with pytest.raises(ValueError):
-            Grid(points=np.linspace(0.1, 1.0, 32), policy="chebyshev")
+    def test_missing_input_validation(self):
         with pytest.raises(ValueError):
             Grid.for_models(count=64)
 
@@ -161,11 +160,17 @@ _GM_COMPONENT = st.builds(GompertzMakeham, st.floats(0.05, 3.0), st.floats(0.1, 
 
 
 @st.composite
-def _parallel_pairs(draw):
+def _system_pairs(draw, structures=("parallel",)):
     component = draw(st.sampled_from([_WG_COMPONENT, _GM_COMPONENT]))
-    f, g = (SystemSpec(tuple(draw(st.lists(component, min_size=1, max_size=4))), "parallel")
+    structure = draw(st.sampled_from(structures))
+    f, g = (SystemSpec(tuple(draw(st.lists(component, min_size=1, max_size=4))), structure)
             for _ in range(2))
     return f, g
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit for bit, NaN matching NaN."""
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestNonFiniteSlack:
@@ -183,7 +188,7 @@ class TestNonFiniteSlack:
         assert math.isfinite(verdict.tolerance) and verdict.tolerance < 1e-3
         assert verdict.grid_count == 2048
 
-    @given(_parallel_pairs(), st.sampled_from(ORDERS), st.sampled_from([None, 10.0, 50.0]))
+    @given(_system_pairs(), st.sampled_from(ORDERS), st.sampled_from([None, 10.0, 50.0]))
     @settings(max_examples=150, deadline=None)
     def test_verdicts_on_parallel_systems_are_finite(self, pair, order, x_max):
         # x_max past the support drives the hazards to inf - inf
@@ -201,15 +206,15 @@ class TestNonFiniteSlack:
 
 class TestRows:
     @given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
-           st.sampled_from(["log", "linear"]), st.sampled_from([2.5, 4.0]))
+           st.sampled_from([2.5, 4.0]))
     @settings(max_examples=60, deadline=None)
-    def test_grid_rows_match_single_grids(self, ends, policy, span):
-        rows = grid_points(np.array(ends), 64, policy, span)
+    def test_grid_rows_match_single_grids(self, ends, span):
+        rows = grid_points(np.array(ends), 64, span)
         for end, row in zip(ends, rows):
-            single = Grid.for_models(count=64, x_max=end, policy=policy, span_decades=span)
+            single = Grid.for_models(count=64, x_max=end, span_decades=span)
             assert np.array_equal(row, single.points)
 
-    @given(_parallel_pairs(), st.sampled_from(["st", "hr", "rh"]),
+    @given(_system_pairs(), st.sampled_from(["st", "hr", "rh"]),
            st.sampled_from([None, 1e-9]))
     @settings(max_examples=60, deadline=None)
     def test_row_verdicts_match_the_certifiers(self, pair, order, tolerance):
@@ -229,10 +234,36 @@ class TestRows:
                             tolerance=tolerance, keep=keep)
         single = certify(order, f, g, grid=grid, tolerance=tolerance)
         assert rows == [single, single]
+        for row in rows:
+            for name in ("x", "lhs", "rhs", "diff"):
+                assert _same(getattr(row.curve, name), getattr(single.curve, name))
 
     def test_lr_has_no_row_form(self):
         with pytest.raises(ValueError):
             certify_rows("lr", [np.ones(16)], [np.ones(16)], [np.linspace(0.1, 1.0, 16)])
+
+
+class TestCurve:
+    @given(_system_pairs(STRUCTURES), st.sampled_from([*ORDERS, "sf-ratio"]),
+           st.sampled_from([None, 50.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_margin_and_witness_come_from_the_curve(self, pair, order, x_max):
+        # x_max = 50 leaves inf and nan slack in the curve, past the support
+        grid = Grid.for_models(*pair, count=256, x_max=x_max)
+        if order == "sf-ratio":
+            verdict = certify_hr(*pair, grid=grid, method="sf-ratio")
+        else:
+            verdict = certify(order, *pair, grid=grid)
+        curve = verdict.curve
+        assert curve.x.shape == curve.lhs.shape == curve.rhs.shape == curve.diff.shape
+        # the monotone orders' first point has no increment
+        first = 1 if verdict.method in ("log-pdf-ratio", "sf-ratio") else 0
+        diff, xs = curve.diff[first:], curve.x[first:]
+        finite = np.isfinite(diff)
+        worst = int(np.argmin(diff[finite]))
+        assert verdict.margin == diff[finite][worst]
+        assert verdict.witness_x == (None if verdict.holds else xs[finite][worst])
+        assert verdict.truncated == (curve.x.size < grid.count or not finite.all())
 
 
 class TestImplicationChain:
