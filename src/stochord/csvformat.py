@@ -4,8 +4,9 @@ Every field is byte-identical to ``repr(float(v))``: the shortest digit
 string that reads back as ``v``, nearest to ``v`` when several of that
 length do, laid out by Python's rules (exponent form iff the decimal
 point position ``decpt`` is below -3 or above 16, at least two exponent
-digits, ``.0`` after integers). Whole columns are formatted in numpy,
-``CHUNK_ROWS`` rows at a time, so memory stays bounded for any row count.
+digits, ``.0`` after integers). Fields are formatted in numpy,
+``CHUNK_ROWS`` rows at a time, so memory stays bounded for any row count;
+all float columns of a chunk go through one pass, row by row.
 
 The digits come from the rounding interval of each double
 (Steele & White, PLDI 1990; Adams, "Ryu", PLDI 2018). ``|v|`` is scaled
@@ -25,8 +26,8 @@ of overflow).
 Fields are laid out without per-value Python. Each field gets a 32-byte
 slot: its digits zero-padded and right-aligned in 24 bytes (eight per
 uint64 word), then a word with the exponent and the separator. The
-output bytes are gathered from the slots and a slot of constant pieces
-by ``take``.
+output bytes are gathered from the slots, in row order, and a slot of
+constant pieces by ``take``.
 """
 
 from __future__ import annotations
@@ -170,10 +171,11 @@ def _fill_slots(slots: np.ndarray, q: np.ndarray, xword) -> None:
     slots[:, 3] = xword
 
 
-def _float_column(values: np.ndarray, sep: str, slots: np.ndarray, base: int):
-    """Fill the slots of a column of floats, placed at byte ``base`` of
-    the gather source, and return its (rows, _SEGMENTS) segment starts
-    and lengths; ``sep`` follows each field."""
+def _float_fields(values: np.ndarray, seps: np.ndarray, slots: np.ndarray, base: int):
+    """Fill the slots of a run of float fields, placed at byte ``base`` of
+    the gather source, and return their (fields, _SEGMENTS) segment starts
+    and lengths; the separator bytes ``seps`` follow the fields in turn,
+    repeating, so row-major rows of ``seps.size`` fields take one pass."""
     finite = np.isfinite(values)
     q, nd, decpt, ok = _shortest(np.where(finite, np.abs(values), 1.5))
     ok &= finite
@@ -184,7 +186,8 @@ def _float_column(values: np.ndarray, sep: str, slots: np.ndarray, base: int):
     # digits after the middle piece: the fraction, or all but the first
     tail = np.where(integral, 0, nd - decpt)
     trail = decpt - nd + 2
-    xword = np.full(values.size, ord(sep), dtype=np.uint64)
+    xword = np.empty(values.size, dtype=np.uint64)
+    xword.reshape(-1, seps.size)[:] = seps
     xlen = np.zeros(values.size, dtype=np.int64)
     e = np.flatnonzero(expo)
     if e.size:
@@ -246,22 +249,24 @@ def _index_column(first: int, slots: np.ndarray, base: int):
 
 def _block(columns: list[np.ndarray], first_index: int | None) -> bytes:
     """CSV rows of equal-length float columns, each row ending in a
-    newline and, with ``first_index``, starting with its row number."""
+    newline and, with ``first_index``, starting with its row number.
+
+    The float fields are formatted in one pass, row by row."""
     rows = columns[0].size
-    fields = len(columns) + (first_index is not None)
-    slots = np.empty((1 + fields * rows, _SLOT // 8), dtype="<u8")
+    numbered = first_index is not None
+    slots = np.empty((1 + (len(columns) + numbered) * rows, _SLOT // 8), dtype="<u8")
     slots[0] = _CONST
-    parts = []
-    start = 1
-    if first_index is not None:
-        parts.append(_index_column(first_index, slots[start:start + rows], _SLOT * start))
-        start += rows
-    for c, col in enumerate(columns):
-        sep = "\n" if c == len(columns) - 1 else ","
-        parts.append(_float_column(col, sep, slots[start:start + rows], _SLOT * start))
-        start += rows
-    src = np.concatenate([s for s, _ in parts], axis=1).ravel()
-    lens = np.concatenate([n for _, n in parts], axis=1).ravel()
+    seps = np.full(len(columns), ord(","), dtype=np.uint64)
+    seps[-1] = ord("\n")
+    start = 1 + numbered * rows
+    src, lens = _float_fields(np.stack(columns, axis=1).ravel(), seps, slots[start:],
+                              _SLOT * start)
+    src, lens = src.reshape(rows, -1), lens.reshape(rows, -1)
+    if numbered:
+        first_src, first_lens = _index_column(first_index, slots[1:start], _SLOT)
+        src = np.concatenate((first_src, src), axis=1)
+        lens = np.concatenate((first_lens, lens), axis=1)
+    src, lens = src.ravel(), lens.ravel()
     keep = lens > 0
     src, lens = src[keep], lens[keep]
     ends = np.cumsum(lens, dtype=np.int32)

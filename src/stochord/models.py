@@ -50,11 +50,15 @@ from .errors import ConvergenceError, EvaluationDomainError
 _EXP_ARG_MAX = 700.0
 _QUANTILE_MAX_ITER = 200
 _QUANTILE_RESIDUAL = 1e-12
-# interior points of a section-search round, as fractions of the bracket; 127
-# was the fastest of 127, 511, 2047 and 8191: larger sections make fewer sf
-# calls but cost more per call
-_TAIL_SECTION = np.arange(1, 128) / 128.0
+# interior points of a tail-search round, as fractions of the bracket, at
+# centre * _TAIL_SCALE + _TAIL_SHIFT for a centre in [0, 1]: 63 evenly spaced
+# ones shrink any bracket at least 64-fold, and 64 cluster around the centre
+# at 2**-j, j = 1..32, of its distance to either end
+_TAIL_HALVES = 2.0 ** -np.arange(1, 33)
+_TAIL_SCALE = np.concatenate((np.zeros(63), 1.0 - _TAIL_HALVES, 1.0 - _TAIL_HALVES))
+_TAIL_SHIFT = np.concatenate((np.arange(1, 64) / 64.0, np.zeros(32), _TAIL_HALVES))
 _TAIL_PROBES = np.power(2.0, np.arange(-20, 61, dtype=float))
+_TAIL_ENDS = np.concatenate(([0.0], _TAIL_PROBES))
 
 BASELINE_KINDS = ("exponential-standard", "user-supplied")
 
@@ -531,13 +535,23 @@ def _support_upper(sf: Callable, tail: float, rows: int = 1) -> np.ndarray:
     2**60 in one call to bracket each row's crossing between the last
     probe above the tail and the first at or below it (or 0 and 2**-20,
     taking sf(0) = 1 as for any lifetime). Each following round evaluates
-    sf on 127 evenly spaced interior points of every row's bracket
-    [lo, hi] in one call; hi becomes the first point at or below the tail
-    and lo the point just before it. A row whose bracket ends are adjacent
-    floats keeps them in later rounds, and the search stops when every row
-    has converged: 8 rounds from a power-of-two bracket, so 9 sf calls in
-    all. The rows do not interact, so each row's result is the one the
-    search gives it alone.
+    sf on 127 interior points of every row's bracket [lo, hi] in one call;
+    hi becomes the first point at or below the tail and lo the point just
+    before it. 63 of the points are evenly spaced, so a bracket shrinks at
+    least 64-fold a round, which bounds a search from a power-of-two
+    bracket to 10 sf calls. The other 64 cluster on both sides of a secant
+    estimate of the crossing, at 2**-j, j = 1..32, of its distance to
+    either end: the estimate is where g(x) = log(-log sf(x)) meets
+    log(-log tail) on the line through g at lo and hi, taken from the sf
+    values the round before left at the bracket ends (the midpoint where g
+    is not finite there). In both families' tails log H is nearly linear
+    in x, so the estimate's error shrinks about quadratically and a search
+    takes 4 or 5 sf calls. A row whose bracket ends are adjacent floats
+    keeps them in later rounds, and the search stops when every row has
+    converged. The rows do not interact, so each row's result is the one
+    the search gives it alone; for a nonincreasing sf it is the unique
+    smallest float whose sf is at or below the tail, whichever points
+    found it.
 
     Returns an array of ``rows`` points x with
     sf(x) <= tail < sf(np.nextafter(x, 0)). Raises ConvergenceError if a
@@ -545,23 +559,33 @@ def _support_upper(sf: Callable, tail: float, rows: int = 1) -> np.ndarray:
     """
     if not 0.0 < tail < 1.0:
         raise ValueError("tail probability must lie in (0, 1)")
-    under = np.asarray(sf(np.broadcast_to(_TAIL_PROBES, (rows, _TAIL_PROBES.size)))) <= tail
+    probed = np.asarray(sf(np.broadcast_to(_TAIL_PROBES, (rows, _TAIL_PROBES.size))))
+    under = probed <= tail
     if not bool(under.any(axis=1).all()):
         raise ConvergenceError(f"sf never reached tail {tail!r} up to x = 2**60")
-    first = under.argmax(axis=1)
-    lo = np.where(first > 0, _TAIL_PROBES[first - 1], 0.0)[:, None]
-    hi = _TAIL_PROBES[first][:, None]
-    # each round's ends are lo, the section points and hi, and ``under``
-    # flags them with sf <= tail, taking False at lo and True at hi: the
-    # first flagged end is the new hi and the one before it the new lo
-    width = _TAIL_SECTION.size + 2
-    under = np.ones((rows, width), dtype=bool)
-    under[:, 0] = False
-    offsets = np.arange(rows) * width
-    while (np.nextafter(lo, hi) < hi).any():
-        points = lo + (hi - lo) * _TAIL_SECTION
-        np.less_equal(sf(points), tail, out=under[:, 1:-1])
-        k = under.argmax(axis=1) + offsets
-        ends = np.concatenate((lo, points, hi), axis=1).ravel()
-        lo, hi = ends[k - 1, None], ends[k, None]
-    return hi[:, 0]
+    # a round's ends are lo, the interior points and hi, with their sf values
+    # (sf(0) = 1 before the probes); the first end at or below the tail is the
+    # new hi and the one before it the new lo
+    pair = np.arange(2)
+    ends = under.argmax(axis=1)[:, None] + pair
+    bracket = _TAIL_ENDS[ends]
+    values = np.concatenate((np.ones((rows, 1)), probed), axis=1)
+    ends_sf = values.ravel()[ends + np.arange(rows)[:, None] * values.shape[1]]
+    target = math.log(-math.log(tail))
+    offsets = np.arange(rows)[:, None] * (_TAIL_SCALE.size + 2) + pair - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while (np.nextafter(bracket[:, :1], bracket[:, 1:]) < bracket[:, 1:]).any():
+            g = np.log(-np.log(ends_sf))
+            centre = (target - g[:, :1]) / (g[:, 1:] - g[:, :1])
+            centre[~np.isfinite(centre)] = 0.5
+            # a centre rounded just outside [0, 1] puts a point just outside
+            # the bracket; the flags still keep lo above the tail and hi not
+            fractions = centre * _TAIL_SCALE + _TAIL_SHIFT
+            fractions.sort(axis=1)
+            lo, hi = bracket[:, :1], bracket[:, 1:]
+            points = lo + (hi - lo) * fractions
+            values = np.concatenate((ends_sf[:, :1], sf(points), ends_sf[:, 1:]), axis=1)
+            k = (values <= tail).argmax(axis=1)[:, None] + offsets
+            bracket = np.concatenate((lo, points, hi), axis=1).ravel()[k]
+            ends_sf = values.ravel()[k]
+    return bracket[:, 1]

@@ -24,10 +24,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .errors import EvaluationDomainError
+from .models import _support_upper
 
 ORDERS = ("st", "hr", "rh", "lr")
 
@@ -72,12 +74,15 @@ class Grid:
         """Log-spaced grid over ``span_decades`` decades below x_max.
 
         x_max defaults to the largest support_upper(tail) across the
-        given distributions.
+        given distributions, found by one search over the pointwise maximum
+        of their survival functions: for nonincreasing survivals it falls
+        to the tail exactly at the largest of their tail points.
         """
         if x_max is None:
             if not dists:
                 raise ValueError("either distributions or x_max must be given")
-            x_max = max(float(d.support_upper(tail)) for d in dists)
+            x_max = float(_support_upper(
+                lambda x: reduce(np.maximum, [d.sf(x) for d in dists]), tail)[0])
         if not np.isfinite(x_max) or x_max <= 0.0:
             raise ValueError(f"x_max must be positive and finite, got {x_max!r}")
         return cls(points=grid_points(x_max, count, span_decades))

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .models import (
     ComponentStack,
     WeibullG,
     _as_array,
+    _family,
     _match,
     _support_upper,
     density,
@@ -164,12 +166,11 @@ class SystemSpec:
         ``"parallel"`` (the component maximum).
 
     The evaluators run through a one-row SystemStack, the same path that
-    evaluates batches of systems.
+    evaluates batches of systems; it is built on the first evaluation.
     """
 
     components: tuple
     structure: str
-    _stack: SystemStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.structure not in STRUCTURES:
@@ -177,7 +178,12 @@ class SystemSpec:
         if len(self.components) < 1:
             raise ValueError("a system needs at least one component")
         object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "_stack", SystemStack.of([self]))
+        for component in self.components:
+            _family(type(component))
+
+    @cached_property
+    def _stack(self) -> SystemStack:
+        return SystemStack.of([self])
 
     @property
     def n(self) -> int:

@@ -79,6 +79,27 @@ def test_whole_file_matches_per_value_writer(tmp_path, rows, index):
     assert path.read_bytes() == reference_csv(header, columns, index)
 
 
+# one value of each kind the fast path declines or that switches the layout
+_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 2.0**-30, 2.0**70, -0.5, 1e-05, 1e+16]
+
+
+@pytest.mark.parametrize("rows", [1, 2048, CHUNK_ROWS - 1, CHUNK_ROWS + 1])
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("index", [False, True])
+def test_multi_column_file_matches_per_value_writer(tmp_path, rows, width, index):
+    rng = np.random.default_rng([rows, width])
+    columns = [rng.normal(scale=10.0 ** rng.integers(-8, 20, size=rows)) for _ in range(width)]
+    # the first and last rows hold a different special value in each column
+    for i in range(min(rows, len(_SPECIALS))):
+        for c, col in enumerate(columns):
+            col[i] = _SPECIALS[(i + c) % len(_SPECIALS)]
+            col[rows - 1 - i] = _SPECIALS[(i + 2 * c + 1) % len(_SPECIALS)]
+    header = ",".join(["index"] * index + [f"c{c}" for c in range(width)])
+    path = tmp_path / "out.csv"
+    _write_csv(path, header, columns, index=index)
+    assert path.read_bytes() == reference_csv(header, columns, index)
+
+
 def test_unequal_columns_are_rejected():
     with pytest.raises(ValueError):
         list(csv_chunks([[1.0, 2.0], [1.0]]))

@@ -204,6 +204,17 @@ class TestQuantile:
             Skewed(1.0, 1.0, 1.0).quantile(np.array([0.25, 0.5]))
 
 
+def _counted_search(sf, tail):
+    """The tail point of a single survival function and the sf calls it took."""
+    calls = []
+
+    def counting_sf(x):
+        calls.append(x)
+        return sf(x)
+
+    return float(_support_upper(counting_sf, tail)[0]), len(calls)
+
+
 class TestSupportUpper:
     @pytest.mark.parametrize("model", [
         WeibullG(4.8, 3.0, 2.5),
@@ -228,24 +239,38 @@ class TestSupportUpper:
     ])
     @pytest.mark.parametrize("tail", [1e-6, 1e-12])
     def test_call_budget(self, model, tail):
-        # one power-of-two probe plus 8 section rounds; scalar bisection
-        # would make 81 calls
-        calls = []
+        # one power-of-two probe plus 3 or 4 secant-guided rounds, where
+        # evenly spaced points alone would take 8 rounds and scalar
+        # bisection 81 calls
+        _, calls = _counted_search(model.sf, tail)
+        assert calls <= 6
 
-        def counting_sf(x):
-            calls.append(x)
-            return model.sf(x)
-
-        _support_upper(counting_sf, tail)
-        assert len(calls) <= 10
+    @pytest.mark.parametrize("sf, tail, exact", [
+        (lambda x: np.exp(-np.floor(4.0 * np.asarray(x))), 0.5, 0.25),
+        (lambda x: np.exp(-np.floor(4.0 * np.asarray(x))), 1e-6, 3.5),
+        (lambda x: np.exp(-np.asarray(x) ** 0.05), 0.5, None),
+        (lambda x: np.exp(-np.asarray(x) ** 0.05), 1e-3, None),
+    ])
+    def test_call_budget_when_the_secant_misleads(self, sf, tail, exact):
+        # a staircase and a cumulative hazard flat in x defeat the secant
+        # estimate; the evenly spaced points still shrink the bracket
+        # 64-fold a round
+        upper, calls = _counted_search(sf, tail)
+        assert calls <= 12
+        assert sf(upper) <= tail < sf(np.nextafter(upper, 0.0))
+        if exact is not None:
+            assert upper == exact
 
     @pytest.mark.parametrize("step", [3.7, 1e-9])
     def test_step_sf_returns_the_exact_step(self, step):
-        # 1e-9 lies below the first probe 2**-20, so the bracket starts at 0
+        # 1e-9 lies below the first probe 2**-20, so the bracket starts at 0;
+        # a step defeats the secant estimate, as in the test above
         def step_sf(x):
             return np.where(np.asarray(x) < step, 1.0, 0.0)
 
-        assert _support_upper(step_sf, 0.5) == step
+        upper, calls = _counted_search(step_sf, 0.5)
+        assert upper == step
+        assert calls <= 12
 
     def test_convergence_error_when_tail_unreachable(self):
         def flat_sf(x):

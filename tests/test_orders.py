@@ -3,6 +3,7 @@ their truncation semantics, the analytic sign lemmas, and the Schur
 condition checker.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -166,6 +167,36 @@ def _system_pairs(draw, structures=("parallel",)):
     f, g = (SystemSpec(tuple(draw(st.lists(component, min_size=1, max_size=4))), structure)
             for _ in range(2))
     return f, g
+
+
+@st.composite
+def _distributions(draw):
+    """A bare model, or a series or parallel system of 1-8 components of one family."""
+    component = draw(st.sampled_from([_WG_COMPONENT, _GM_COMPONENT]))
+    structure = draw(st.sampled_from([None, *STRUCTURES]))
+    if structure is None:
+        return draw(component)
+    return SystemSpec(tuple(draw(st.lists(component, min_size=1, max_size=8))), structure)
+
+
+@st.composite
+def _grid_end_pairs(draw):
+    """Two independent distributions, or one and its equal or permuted copy."""
+    first = draw(_distributions())
+    kind = draw(st.sampled_from(["independent", "equal", "permuted"]))
+    if kind == "independent":
+        return first, draw(_distributions())
+    if kind == "permuted" and isinstance(first, SystemSpec):
+        return first, SystemSpec(tuple(draw(st.permutations(first.components))), first.structure)
+    return first, copy.copy(first)
+
+
+class TestJointGridEnd:
+    @given(_grid_end_pairs(), st.sampled_from([1e-6, 1e-12]))
+    @settings(max_examples=150, deadline=None)
+    def test_grid_ends_at_the_largest_tail_point(self, dists, tail):
+        end = Grid.for_models(*dists, count=16, tail=tail).points[-1]
+        assert end == max(d.support_upper(tail) for d in dists)
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:

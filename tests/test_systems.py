@@ -133,6 +133,23 @@ class TestStructureGuards:
         with pytest.raises(ValueError):
             SystemSpec((), "series")
 
+    def test_unknown_component_family_rejected_at_construction(self):
+        class Exponential:
+            label = "exponential"
+
+        with pytest.raises(TypeError):
+            SystemSpec((WeibullG(1.0, 2.0, 1.0), Exponential()), "series")
+
+    def test_stack_is_built_on_first_evaluation(self):
+        system = SystemSpec(WG_SOURCE.components, "parallel")
+        fresh = SystemSpec(WG_SOURCE.components, "parallel")
+        text, key = repr(system), hash(system)
+        assert "_stack" not in vars(system)
+        system.sf(0.5)
+        assert "_stack" in vars(system)
+        assert system == fresh and hash(system) == key == hash(fresh)
+        assert repr(system) == text == repr(fresh)
+
 
 class TestDensityConsistency:
     @pytest.mark.parametrize("structure", ["series", "parallel"])
