@@ -49,8 +49,6 @@ from .models import (
 )
 from .montecarlo import (
     SampleBatch,
-    SystemCheckReport,
-    empirical_system_check,
     ks_distance,
     sample,
     sample_system,
@@ -104,7 +102,6 @@ __all__ = [
     "SampleBatch",
     "SchurDiagnostics",
     "StochordError",
-    "SystemCheckReport",
     "SystemSpec",
     "TTransform",
     "TheoremScenario",
@@ -119,7 +116,6 @@ __all__ = [
     "chain_majorize_solve_2x2",
     "counterexample_probe",
     "doubly_stochastic_check",
-    "empirical_system_check",
     "generate_hypothesis_pair",
     "h1",
     "h2",

@@ -69,10 +69,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GenerationError
-from .majorization import TTransform, apply_t_transform, generate_hypothesis_pair, pn_membership
+from .majorization import TTransform, _apply_columns, generate_hypothesis_pair
 from .models import ComponentStack, GompertzMakeham, WeibullG, _support_upper
-from .orders import _SPAN_DECADES, OrderVerdict, certify_rows, grid_points
+from .orders import _SPAN_DECADES, _TAIL, OrderVerdict, certify_rows, grid_points
 # the single-pair certifiers stay in this namespace, where perfbench's tracer
 # and its self-tests look them up
 from .orders import certify_hr, certify_rh, certify_st  # noqa: F401
@@ -133,7 +132,6 @@ _SWEEP_TOL = 1e-12
 _AGGREGATE_REL_TOL = 1e-15
 _RH_SPAN_DECADES = 2.5
 _DYADIC = 2.0**20
-_TAIL = 1e-6  # the grid end's tail probability, as in Grid.for_models
 # grid cells evaluated together: blocks of 8 systems at the default 2048
 # points keep each slab array at 128 KiB, and peak memory near that of
 # certifying one instance at a time
@@ -227,33 +225,6 @@ def _instance_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(index))))
 
 
-def _chain_matrices(
-    rng: np.random.Generator, n: int, k_lo: int, k_hi: int, anti_ordered: bool
-) -> list[np.ndarray]:
-    """Source matrix plus each partially transformed matrix, in order."""
-    raw = rng.uniform(0.5, 5.0, size=(2, n))
-    if anti_ordered:
-        b = np.vstack([np.sort(raw[0]), np.sort(raw[1])[::-1]])
-        keep_pn = False
-    else:
-        b = np.sort(raw, axis=1)
-        keep_pn = True
-    k = int(rng.integers(k_lo, k_hi + 1))
-    mats = [b]
-    for step in range(k):
-        last_step = step == k - 1
-        for _ in range(100):
-            i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
-            t = TTransform(lam=float(rng.uniform()), i=i, j=j)
-            candidate = apply_t_transform(mats[-1], t)
-            if last_step or not keep_pn or pn_membership(candidate):
-                break
-        else:
-            raise GenerationError(f"no P_n-preserving transform found at chain step {step + 1}")
-        mats.append(candidate)
-    return mats
-
-
 def _params(first, second, third) -> np.ndarray:
     """(3, n) parameter rows in the family's declaration order: Weibull-G
     (alpha; beta; gamma), Gompertz-Makeham (alpha; beta; lambda). Each row
@@ -331,7 +302,7 @@ def _draw_hr_chain(
     pinned: bool,
 ) -> _Draw:
     if pinned:
-        mats = [EXAMPLE_MATRIX, apply_t_transform(EXAMPLE_MATRIX, EXAMPLE_TRANSFORM)]
+        source, transforms = EXAMPLE_MATRIX, (EXAMPLE_TRANSFORM,)
         shared = EXAMPLE_WG_BETA if family is WeibullG else EXAMPLE_GM_LAM
     else:
         n = scenario.n if scenario.n is not None else int(rng.integers(n_range[0], n_range[1] + 1))
@@ -340,7 +311,14 @@ def _draw_hr_chain(
             shared = float(rng.uniform(lo, hi))
         else:
             shared = float(rng.uniform(0.1, 10.0))
-        mats = _chain_matrices(rng, n, k_range[0], k_range[1], anti_ordered=disabled == "pn")
+        pair = generate_hypothesis_pair(n, "chain", rng=rng, min_transforms=k_range[0],
+                                        max_transforms=k_range[1], anti_ordered=disabled == "pn")
+        source, transforms = pair.b, pair.transforms
+    # the source matrix and each partially transformed one, in order; all are
+    # valid parameter matrices, so the replay skips apply_t_transform's checks
+    mats = [source]
+    for t in transforms:
+        mats.append(_apply_columns(mats[-1], t))
 
     if family is WeibullG:
         systems = [_params(m[0], shared, m[1]) for m in mats]

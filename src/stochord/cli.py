@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
@@ -56,27 +55,15 @@ _FAMILY_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized invocation: one command plus its resolved inputs."""
-
-    command: str
-    config_path: str | None = None
-    order: str | None = None
-    count: int | None = None
-    seed: int = 0
-    grid_count: int = 2048
-    x_max: float | None = None
-    out_dir: str | None = None
-    inline: dict | None = None
-
-    def __post_init__(self):
-        if self.grid_count < 16:
-            raise ConfigError(f"--grid must be at least 16, got {self.grid_count}")
-        if self.x_max is not None and not self.x_max > 0.0:
-            raise ConfigError(f"--xmax must be positive, got {self.x_max}")
-        if self.count is not None and self.count < 1:
-            raise ConfigError(f"--count must be at least 1, got {self.count}")
+def _check(grid: int | None = None, x_max: float | None = None,
+           count: int | None = None) -> None:
+    """The numeric input checks; each command runs them before its work."""
+    if grid is not None and grid < 16:
+        raise ConfigError(f"--grid must be at least 16, got {grid}")
+    if x_max is not None and not x_max > 0.0:
+        raise ConfigError(f"--xmax must be positive, got {x_max}")
+    if count is not None and count < 1:
+        raise ConfigError(f"--count must be at least 1, got {count}")
 
 
 def _fmt(value: float) -> str:
@@ -200,12 +187,13 @@ def _parse_compare_config(path: str, order_flag: str | None):
 # commands
 
 
-def cmd_compare(rc: RunConfig) -> int:
-    order, first, second = _parse_compare_config(rc.config_path, rc.order)
-    grid = Grid.for_models(first, second, count=rc.grid_count, x_max=rc.x_max)
+def cmd_compare(args: argparse.Namespace) -> int:
+    _check(grid=args.grid, x_max=args.xmax)
+    order, first, second = _parse_compare_config(args.config, args.order)
+    grid = Grid.for_models(first, second, count=args.grid, x_max=args.xmax)
     verdict = certify(order, first, second, grid=grid)
     curve = verdict.curve
-    out = Path(rc.out_dir or ".") / "compare_curve.csv"
+    out = Path(args.out or ".") / "compare_curve.csv"
     _write_csv(out, "x,lhs,rhs,diff", [curve.x, curve.lhs, curve.rhs, curve.diff])
     print("command: compare")
     print(f"order: {order}")
@@ -222,21 +210,19 @@ def cmd_compare(rc: RunConfig) -> int:
     return 0 if verdict.holds else 3
 
 
-def cmd_verify_theorem(rc: RunConfig) -> int:
-    sid = rc.inline["theorem"]
+def cmd_verify_theorem(args: argparse.Namespace) -> int:
+    seed = _resolve_seed(args.seed)
+    _check(grid=args.grid, count=args.count)
+    sid = args.theorem
     if sid not in SCENARIO_IDS:
         raise ConfigError(f"unknown theorem id {sid!r}; known ids: {', '.join(SCENARIO_IDS)}")
-    scenario = TheoremScenario(
-        scenario_id=sid,
-        count=rc.count if rc.count is not None else 200,
-        seed=rc.seed,
-        grid_count=rc.grid_count,
-    )
+    scenario = TheoremScenario(scenario_id=sid, count=args.count, seed=seed,
+                               grid_count=args.grid)
     report = run_scenario(scenario)
     for line in report.summary_lines():
         print(line)
-    if rc.out_dir is not None and report.curve is not None:
-        out = Path(rc.out_dir) / f"theorem_{sid}_curve.csv"
+    if args.out is not None and report.curve is not None:
+        out = Path(args.out) / f"theorem_{sid}_curve.csv"
         curve = report.curve
         _write_csv(out, "x,lhs,rhs,diff", [curve.x, curve.lhs, curve.rhs, curve.diff])
         print(f"curve: {out}")
@@ -261,18 +247,17 @@ def _load_matrix(path: str) -> np.ndarray:
         raise ConfigError(f"{path}: {err}")
 
 
-def cmd_majorize(rc: RunConfig) -> int:
-    args = rc.inline
-    vector_mode = args["a"] is not None or args["b"] is not None
-    matrix_mode = args["matrix_a"] is not None or args["matrix_b"] is not None
+def cmd_majorize(args: argparse.Namespace) -> int:
+    vector_mode = args.a is not None or args.b is not None
+    matrix_mode = args.matrix_a is not None or args.matrix_b is not None
     if vector_mode == matrix_mode:
         raise ConfigError("pass either --a and --b (vectors) or --matrix-a and --matrix-b")
     print("command: majorize")
     if vector_mode:
-        if args["a"] is None or args["b"] is None:
+        if args.a is None or args.b is None:
             raise ConfigError("both --a and --b are required")
-        a = _parse_vector(args["a"], "--a")
-        b = _parse_vector(args["b"], "--b")
+        a = _parse_vector(args.a, "--a")
+        b = _parse_vector(args.b, "--b")
         if a.size != b.size:
             raise ConfigError("--a and --b must have equal length")
         summary = implication_suite(a, b)
@@ -281,10 +266,10 @@ def cmd_majorize(rc: RunConfig) -> int:
         print(f"weak_sub: {_bool(summary.weak_sub)}")
         print(f"weak_super: {_bool(summary.weak_super)}")
         return 0
-    if args["matrix_a"] is None or args["matrix_b"] is None:
+    if args.matrix_a is None or args.matrix_b is None:
         raise ConfigError("both --matrix-a and --matrix-b are required")
-    mat_a = _load_matrix(args["matrix_a"])
-    mat_b = _load_matrix(args["matrix_b"])
+    mat_a = _load_matrix(args.matrix_a)
+    mat_b = _load_matrix(args.matrix_b)
     print("mode: matrices")
     print(f"pn_a: {_bool(pn_membership(mat_a))}")
     print(f"pn_b: {_bool(pn_membership(mat_b))}")
@@ -296,35 +281,37 @@ def cmd_majorize(rc: RunConfig) -> int:
     return 0
 
 
-def cmd_sample(rc: RunConfig) -> int:
-    args = rc.inline
-    count = rc.count
+def cmd_sample(args: argparse.Namespace) -> int:
+    seed = _resolve_seed(args.seed)
+    count = args.n if args.n is not None else args.count
+    _check(count=count)
     if count is None:
         raise ConfigError("sample needs --n (or --count)")
-    out = Path(rc.out_dir or ".") / "samples.csv"
-    if args["config"] is not None:
-        system = _system_from(_load_json(args["config"]), args["config"], "top level")
-        batch = sample_system(system, count, rc.seed)
+    out = Path(args.out or ".") / "samples.csv"
+    if args.config is not None:
+        system = _system_from(_load_json(args.config), args.config, "top level")
+        batch = sample_system(system, count, seed)
         ks = ks_distance(batch, system)
         label = system.label
     else:
-        family = _FAMILY_ALIASES.get(args["family"] or "")
+        family = _FAMILY_ALIASES.get(args.family or "")
         if family is None:
             raise ConfigError("--family must be weibull-g (wg) or gompertz-makeham (gm), "
                               "or pass --config")
-        values = [args["lam" if key == "lambda" else key] for key in _FAMILY_PARAMS[family]]
+        values = [getattr(args, "lam" if key == "lambda" else key)
+                  for key in _FAMILY_PARAMS[family]]
         for key, value in zip(_FAMILY_PARAMS[family], values):
             if value is None:
                 raise ConfigError(f"--{key} is required for family {family}")
         model = _model(family, values)
-        batch = sample(model, count, rc.seed)
+        batch = sample(model, count, seed)
         ks = ks_distance(batch, model)
         label = model.label
     _write_csv(out, "index,value", [batch.values], index=True)
     print("command: sample")
     print(f"model: {label}")
     print(f"count: {count}")
-    print(f"seed: {rc.seed}")
+    print(f"seed: {seed}")
     print(f"ks: {_fmt(ks)}")
     print(f"samples: {out}")
     return 0
@@ -350,6 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--xmax", type=float, help="override the grid upper end")
     compare.add_argument("--seed", type=int, help="unused by compare; accepted for symmetry")
     compare.add_argument("--out", help="output directory (default: current)")
+    compare.set_defaults(run=cmd_compare)
 
     verify = sub.add_parser("verify-theorem", help="run one bench scenario")
     verify.add_argument("theorem", help="scenario id such as T3.1 or T4.5")
@@ -357,12 +345,14 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, help="batch seed (default STOCHORD_SEED or 0)")
     verify.add_argument("--grid", type=int, default=2048, help="grid point count")
     verify.add_argument("--out", help="directory for the scenario curve CSV")
+    verify.set_defaults(run=cmd_verify_theorem)
 
     majorize = sub.add_parser("majorize", help="report majorization relations")
     majorize.add_argument("--a", help="first vector, comma separated")
     majorize.add_argument("--b", help="second vector, comma separated")
     majorize.add_argument("--matrix-a", dest="matrix_a", help="first 2 x n matrix (JSON file)")
     majorize.add_argument("--matrix-b", dest="matrix_b", help="second 2 x n matrix (JSON file)")
+    majorize.set_defaults(run=cmd_majorize)
 
     smp = sub.add_parser("sample", help="draw lifetimes and report the KS distance")
     smp.add_argument("--family", help="weibull-g (wg) or gompertz-makeham (gm)")
@@ -375,6 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     smp.add_argument("--count", type=int, help="alias for --n")
     smp.add_argument("--seed", type=int, help="draw seed (default STOCHORD_SEED or 0)")
     smp.add_argument("--out", help="output directory (default: current)")
+    smp.set_defaults(run=cmd_sample)
     return parser
 
 
@@ -390,50 +381,6 @@ def _resolve_seed(flag_value: int | None) -> int:
         raise ConfigError(f"STOCHORD_SEED must be an integer, got {env!r}")
 
 
-def _run_config_from(args: argparse.Namespace) -> RunConfig:
-    if args.command == "compare":
-        return RunConfig(
-            command="compare",
-            config_path=args.config,
-            order=args.order,
-            grid_count=args.grid,
-            x_max=args.xmax,
-            out_dir=args.out,
-        )
-    if args.command == "verify-theorem":
-        return RunConfig(
-            command="verify-theorem",
-            count=args.count,
-            seed=_resolve_seed(args.seed),
-            grid_count=args.grid,
-            out_dir=args.out,
-            inline={"theorem": args.theorem},
-        )
-    if args.command == "majorize":
-        return RunConfig(
-            command="majorize",
-            inline={"a": args.a, "b": args.b,
-                    "matrix_a": args.matrix_a, "matrix_b": args.matrix_b},
-        )
-    count = args.n if args.n is not None else args.count
-    return RunConfig(
-        command="sample",
-        count=count,
-        seed=_resolve_seed(args.seed),
-        out_dir=args.out,
-        inline={"family": args.family, "alpha": args.alpha, "beta": args.beta,
-                "gamma": args.gamma, "lam": args.lam, "config": args.config},
-    )
-
-
-_COMMANDS = {
-    "compare": cmd_compare,
-    "verify-theorem": cmd_verify_theorem,
-    "majorize": cmd_majorize,
-    "sample": cmd_sample,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -442,8 +389,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help, 2 for usage errors; keep the contract total
         return int(err.code or 0) if err.code in (0, 2) else 2
     try:
-        rc = _run_config_from(args)
-        return _COMMANDS[args.command](rc)
+        return args.run(args)
     except (StochordError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

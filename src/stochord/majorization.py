@@ -243,7 +243,7 @@ def generate_hypothesis_pair(
     high: float = 5.0,
     min_transforms: int = 1,
     max_transforms: int = 3,
-    require_intermediate_pn: bool = True,
+    anti_ordered: bool = False,
     rng: np.random.Generator | None = None,
 ) -> GeneratedPair:
     """Generate a random pair certified to satisfy the requested relation.
@@ -252,10 +252,13 @@ def generate_hypothesis_pair(
     ascending for matrices, so b is in P_n). Vector kinds average random
     coordinate pairs to get c < b, then rescale: c (plain), (1-d) c
     (weak_sub), (1+d) c (weak_super) with d in (0.05, 0.3). The chain
-    kind applies min_transforms..max_transforms random T-transforms; with
-    ``require_intermediate_pn`` every matrix before the last transform is
-    re-validated in P_n (rejection sampling, raising GenerationError
-    after 100 failed draws for a step).
+    kind applies min_transforms..max_transforms random T-transforms, and
+    every matrix before the last transform is re-validated in P_n
+    (rejection sampling, raising GenerationError after 100 failed draws
+    for a step). ``anti_ordered`` breaks that hypothesis on purpose: b's
+    first row is sorted ascending and its second descending, so b is not
+    in P_n when its entries are distinct, and the intermediates are not
+    re-validated.
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"kind must be one of {GENERATOR_KINDS}, got {kind!r}")
@@ -266,7 +269,9 @@ def generate_hypothesis_pair(
     gen = rng if rng is not None else np.random.default_rng(seed)
 
     if kind == "chain":
-        b = np.sort(gen.uniform(low, high, size=(2, n)), axis=1)
+        raw = gen.uniform(low, high, size=(2, n))
+        b = (np.vstack([np.sort(raw[0]), np.sort(raw[1])[::-1]]) if anti_ordered
+             else np.sort(raw, axis=1))
         k = int(gen.integers(min_transforms, max_transforms + 1))
         current = b
         transforms: list[TTransform] = []
@@ -276,7 +281,7 @@ def generate_hypothesis_pair(
                 i, j = map(int, gen.choice(n, size=2, replace=False))
                 t = TTransform(lam=float(gen.uniform(0.0, 1.0)), i=i, j=j)
                 candidate = _apply_columns(current, t)
-                if is_last or not require_intermediate_pn or pn_membership(candidate):
+                if is_last or anti_ordered or pn_membership(candidate):
                     break
             else:
                 raise GenerationError(

@@ -69,22 +69,6 @@ def ks_distance(batch: SampleBatch, model) -> float:
     return max(d_plus, d_minus)
 
 
-@dataclass(frozen=True)
-class SystemCheckReport:
-    """KS comparison of componentwise extreme draws against the system law."""
-
-    label: str
-    structure: str
-    count: int
-    seed: int
-    ks: float
-    threshold: float
-
-    @property
-    def passed(self) -> bool:
-        return self.ks <= self.threshold
-
-
 def sample_system(system: SystemSpec, count: int, seed: int) -> SampleBatch:
     """Sample the system lifetime by drawing each component on stream i
     and reducing columnwise by min (series) or max (parallel)."""
@@ -95,18 +79,3 @@ def sample_system(system: SystemSpec, count: int, seed: int) -> SampleBatch:
         draws[i] = comp.quantile(_uniforms(seed, i, count))
     reduced = draws.min(axis=0) if system.structure == "series" else draws.max(axis=0)
     return SampleBatch(label=system.label, count=count, seed=seed, values=np.sort(reduced))
-
-
-def empirical_system_check(
-    system: SystemSpec, count: int, seed: int, threshold: float = 0.01
-) -> SystemCheckReport:
-    """Compare componentwise extreme draws against the analytic system cdf."""
-    batch = sample_system(system, count, seed)
-    return SystemCheckReport(
-        label=system.label,
-        structure=system.structure,
-        count=count,
-        seed=seed,
-        ks=ks_distance(batch, system),
-        threshold=threshold,
-    )

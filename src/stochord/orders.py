@@ -4,8 +4,7 @@ Certifying ``F <= G`` in one of four orders reduces to a pointwise or
 monotonicity check on an evaluation grid:
 
 * ``st`` (usual order): sf_F <= sf_G at every grid point;
-* ``hr`` (hazard rate): r_F >= r_G pointwise, or equivalently
-  sf_G / sf_F non-decreasing;
+* ``hr`` (hazard rate): r_F >= r_G pointwise;
 * ``rh`` (reversed hazard): rtilde_F <= rtilde_G pointwise;
 * ``lr`` (likelihood ratio): pdf_G / pdf_F non-decreasing, checked in
   log space.
@@ -36,6 +35,7 @@ ORDERS = ("st", "hr", "rh", "lr")
 _MIN_GRID = 16
 _DEFAULT_COUNT = 2048
 _SPAN_DECADES = 4.0
+_TAIL = 1e-6  # survival probability left beyond the grid end
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class Grid:
         *dists,
         count: int = _DEFAULT_COUNT,
         x_max: float | None = None,
-        tail: float = 1e-6,
+        tail: float = _TAIL,
         span_decades: float = _SPAN_DECADES,
     ) -> "Grid":
         """Log-spaced grid over ``span_decades`` decades below x_max.
@@ -104,11 +104,10 @@ class Curve:
     """The evaluated curve a certifier judged.
 
     ``lhs`` and ``rhs`` are the two sides at each point of ``x``: sf (st),
-    hazard (hr), reversed hazard (rh), log density (lr) or, for hr on the
-    sf-ratio path, sf. ``diff`` is the slack at each point, inf and NaN
-    included, for the pointwise orders; for the monotone orders it is the
-    increment of the ratio (rhs - lhs in log space for lr, rhs / lhs for
-    sf-ratio) from the point before, with 0 at the first point.
+    hazard (hr), reversed hazard (rh) or log density (lr). ``diff`` is the
+    slack at each point, inf and NaN included, for the pointwise orders;
+    for lr it is the increment of rhs - lhs from the point before, with 0
+    at the first point.
     """
 
     x: np.ndarray
@@ -122,15 +121,14 @@ class OrderVerdict:
     """Outcome of one order certification.
 
     ``margin`` is the minimum certifying slack over the grid: for the
-    pointwise orders the worst value of the defining inequality, for the
-    monotone orders (lr, and hr on the sf-ratio path) the worst
-    consecutive increment. The order holds when margin >= -tolerance;
-    ``witness_x`` pins the failing abscissa otherwise. ``truncated``
-    marks ratio or log paths that were shortened because a survival or
-    density value underflowed before the grid end, and verdicts that
-    excluded grid points where the slack was not finite. ``curve`` is the
-    ``Curve`` the margin was taken from, before non-finite slack was
-    dropped; it takes no part in comparing verdicts.
+    pointwise orders the worst value of the defining inequality, for lr
+    the worst consecutive increment. The order holds when margin >=
+    -tolerance; ``witness_x`` pins the failing abscissa otherwise.
+    ``truncated`` marks verdicts that excluded grid points: where a cdf
+    (rh) was zero, where a density (lr) was zero or not finite, or where
+    the slack was not finite. ``curve`` is the ``Curve`` the margin was
+    taken from, before non-finite slack was dropped; it takes no part in
+    comparing verdicts.
     """
 
     order: str
@@ -215,15 +213,6 @@ def _pointwise(order: str, f_values: np.ndarray, g_values: np.ndarray, xs: np.nd
                    truncated, Curve(xs, f_values, g_values, slack))
 
 
-def _monotone(order: str, xs: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
-              ratio: np.ndarray, tolerance: float | None, method: str,
-              truncated: bool) -> OrderVerdict:
-    """Judge ``ratio`` (of rhs to lhs) non-decreasing by its consecutive increments."""
-    slack = np.diff(ratio)
-    return _finish(order, slack, xs[1:], tolerance, (ratio,), method, truncated,
-                   Curve(xs, lhs, rhs, np.concatenate([[0.0], slack])))
-
-
 def certify_rows(order: str, f_values, g_values, points, tolerance: float | None = None,
                  keep=None) -> list[OrderVerdict]:
     """Certify f <= g in st, hr or rh for many rows of evaluated values at once.
@@ -233,8 +222,7 @@ def certify_rows(order: str, f_values, g_values, points, tolerance: float | None
     be an (R, G) array or a sequence of R rows. ``keep``, if given, marks
     the points of each row where the values are defined; dropping any
     truncates that row's verdict. Row r's verdict, curve included, is the
-    one certify_st, certify_hr (method "hazard") or certify_rh reaches on
-    that row's grid.
+    one certify_st, certify_hr or certify_rh reaches on that row's grid.
     """
     if order not in _POINTWISE:
         raise ValueError(f"row certification covers {tuple(_POINTWISE)}, got {order!r}")
@@ -242,76 +230,48 @@ def certify_rows(order: str, f_values, g_values, points, tolerance: float | None
             for r, (f, g, xs) in enumerate(zip(f_values, g_values, points))]
 
 
-def _resolve_grid(f, g, grid: Grid | None, count: int) -> Grid:
-    return grid if grid is not None else Grid.for_models(f, g, count=count)
+def _points(f, g, grid: Grid | None) -> np.ndarray:
+    return (grid if grid is not None else Grid.for_models(f, g)).points
 
 
-def certify_st(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
-               tolerance: float | None = None) -> OrderVerdict:
+def certify_st(f, g, grid: Grid | None = None, tolerance: float | None = None) -> OrderVerdict:
     """Certify f <= g in the usual stochastic order: sf_f <= sf_g pointwise."""
-    grid = _resolve_grid(f, g, grid, count)
-    xs = grid.points
+    xs = _points(f, g, grid)
     return _pointwise("st", np.asarray(f.sf(xs)), np.asarray(g.sf(xs)), xs, tolerance)
 
 
-def certify_hr(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
-               tolerance: float | None = None, method: str = "auto") -> OrderVerdict:
-    """Certify f <= g in the hazard rate order.
+def certify_hr(f, g, grid: Grid | None = None, tolerance: float | None = None) -> OrderVerdict:
+    """Certify f <= g in the hazard rate order: r_f >= r_g pointwise.
 
-    ``method="hazard"`` checks r_f >= r_g pointwise and is used whenever
-    both sides expose a hazard evaluator. ``method="sf-ratio"`` checks
-    that sf_g / sf_f is non-decreasing, truncating the grid (and flagging
-    the verdict) where sf_f underflows to zero.
+    For absolutely continuous lifetimes this is equivalent to sf_g / sf_f
+    being non-decreasing.
     """
-    if method not in ("auto", "hazard", "sf-ratio"):
-        raise ValueError(f"unknown hr method {method!r}")
-    grid = _resolve_grid(f, g, grid, count)
-    xs = grid.points
-    if method == "auto":
-        method = "hazard" if hasattr(f, "hazard") and hasattr(g, "hazard") else "sf-ratio"
-
-    if method == "hazard":
-        return _pointwise("hr", np.asarray(f.hazard(xs)), np.asarray(g.hazard(xs)), xs,
-                          tolerance)
-
-    sf_f = np.asarray(f.sf(xs))
-    sf_g = np.asarray(g.sf(xs))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio = sf_g / sf_f
-    valid = (sf_f > 0.0) & np.isfinite(ratio)
-    cut = int(np.argmin(valid)) if not bool(valid.all()) else valid.size
-    if cut < 2:
-        raise EvaluationDomainError("survival underflow leaves fewer than two usable grid points")
-    return _monotone("hr", xs[:cut], sf_f[:cut], sf_g[:cut], ratio[:cut], tolerance,
-                     "sf-ratio", cut < valid.size)
+    xs = _points(f, g, grid)
+    return _pointwise("hr", np.asarray(f.hazard(xs)), np.asarray(g.hazard(xs)), xs, tolerance)
 
 
-def certify_rh(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
-               tolerance: float | None = None) -> OrderVerdict:
+def certify_rh(f, g, grid: Grid | None = None, tolerance: float | None = None) -> OrderVerdict:
     """Certify f <= g in the reversed hazard order: rtilde_f <= rtilde_g pointwise.
 
     Grid points where either cdf is exactly zero are excluded (the
     reversed hazard is undefined there); exclusions set the truncated
     flag.
     """
-    grid = _resolve_grid(f, g, grid, count)
-    xs = grid.points
+    xs = _points(f, g, grid)
     keep = (np.asarray(f.cdf(xs)) > 0.0) & (np.asarray(g.cdf(xs)) > 0.0)
     rh_f, rh_g = np.full(xs.shape, np.nan), np.full(xs.shape, np.nan)
     rh_f[keep], rh_g[keep] = f.reversed_hazard(xs[keep]), g.reversed_hazard(xs[keep])
     return _pointwise("rh", rh_f, rh_g, xs, tolerance, keep)
 
 
-def certify_lr(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
-               tolerance: float | None = None) -> OrderVerdict:
+def certify_lr(f, g, grid: Grid | None = None, tolerance: float | None = None) -> OrderVerdict:
     """Certify f <= g in the likelihood ratio order.
 
     Holds when pdf_g / pdf_f is non-decreasing across the grid, checked
     as monotonicity of log pdf_g - log pdf_f. Points where either
     density underflows to zero are excluded and flagged as truncation.
     """
-    grid = _resolve_grid(f, g, grid, count)
-    xs = grid.points
+    xs = _points(f, g, grid)
     pdf_f = np.asarray(f.pdf(xs))
     pdf_g = np.asarray(g.pdf(xs))
     keep = (pdf_f > 0.0) & (pdf_g > 0.0) & np.isfinite(pdf_f) & np.isfinite(pdf_g)
@@ -319,8 +279,11 @@ def certify_lr(f, g, grid: Grid | None = None, count: int = _DEFAULT_COUNT,
     if xs_kept.size < 2:
         raise EvaluationDomainError("density underflow leaves fewer than two usable grid points")
     log_f, log_g = np.log(pdf_f[keep]), np.log(pdf_g[keep])
-    return _monotone("lr", xs_kept, log_f, log_g, log_g - log_f, tolerance, "log-pdf-ratio",
-                     not bool(keep.all()))
+    ratio = log_g - log_f
+    slack = np.diff(ratio)
+    return _finish("lr", slack, xs_kept[1:], tolerance, (ratio,), "log-pdf-ratio",
+                   not bool(keep.all()),
+                   Curve(xs_kept, log_f, log_g, np.concatenate([[0.0], slack])))
 
 
 def certify(order: str, f, g, **kwargs) -> OrderVerdict:

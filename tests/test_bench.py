@@ -75,6 +75,34 @@ class TestGolden:
         assert (report.passed, repr(report.worst_margin)) == GOLDEN_40[scenario_id]
 
 
+# (passed, repr(worst_margin), failure indices) of each applicable
+# hypothesis probe at count 40, seed 0
+PROBE_GOLDEN_40 = {
+    ("T3.1", "pn"): (18, "-68.51435853257999", (2, 3, 6, 9, 10, 12, 13, 14, 18, 19, 21, 23,
+                                                25, 27, 28, 29, 30, 31, 33, 37, 38, 39)),
+    ("T3.2", "pn"): (19, "-93.66149827934669", (0, 1, 2, 3, 4, 7, 8, 9, 11, 13, 17, 20, 22,
+                                                24, 25, 27, 29, 31, 34, 36, 37)),
+    ("T3.3", "pn"): (8, "-33.16084164605087", (0, 1, 2, 3, 4, 5, 6, 8, 9, 11, 12, 13, 14, 15,
+                                               17, 18, 20, 22, 23, 24, 25, 26, 27, 28, 29,
+                                               30, 31, 33, 34, 35, 36, 37)),
+    ("T4.1", "pn"): (0, "-7.882320183249149", tuple(range(40))),
+    ("T4.2", "pn"): (0, "-7.6536763156454555", tuple(range(40))),
+    ("T4.3", "pn"): (0, "-5.72859612945016", tuple(range(40))),
+    ("T3.1", "beta_ge_2"): (38, "-1.949871582298556", (7, 35)),
+    ("T3.2", "beta_ge_2"): (40, "1.9009621979922814e-06", ()),
+    ("T3.3", "beta_ge_2"): (39, "-0.0010783104726215242", (38,)),
+}
+
+
+class TestProbeGolden:
+    @pytest.mark.parametrize("scenario_id, hypothesis", PROBE_GOLDEN_40)
+    def test_probe_outcome_is_pinned(self, scenario_id, hypothesis):
+        report = counterexample_probe(TheoremScenario(scenario_id, count=40, seed=0), hypothesis)
+        assert (report.passed, repr(report.worst_margin),
+                tuple(f.index for f in report.failures)) == \
+            PROBE_GOLDEN_40[(scenario_id, hypothesis)]
+
+
 class TestPinnedCurves:
     def test_series_hazard_curve_dominates(self):
         report = run_scenario(TheoremScenario("T3.1", count=1, seed=0, grid_count=2048))

@@ -120,6 +120,23 @@ class TestCompare:
         assert code == 2 and "--grid" in err
 
 
+class TestInputChecks:
+    # the numeric checks run before the command does anything
+    @pytest.mark.parametrize("argv, message", [
+        (("compare", "--config", EXAMPLE1, "--grid", "8"), "--grid must be at least 16, got 8"),
+        (("compare", "--config", EXAMPLE1, "--xmax", "0"), "--xmax must be positive, got 0.0"),
+        (("compare", "--config", EXAMPLE1, "--xmax", "-1"), "--xmax must be positive, got -1.0"),
+        (("verify-theorem", "T3.1", "--grid", "8"), "--grid must be at least 16, got 8"),
+        (("verify-theorem", "T3.1", "--count", "0"), "--count must be at least 1, got 0"),
+        (("sample", "--family", "gm", "--alpha", "1", "--beta", "1", "--lambda", "1",
+          "--n", "0"), "--count must be at least 1, got 0"),
+    ])
+    def test_exit_2_with_the_exact_message(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestVerifyTheorem:
     def test_small_batch_passes(self, capsys, tmp_path):
         code, out, _ = run(capsys, "verify-theorem", "T3.1", "--count", "3",

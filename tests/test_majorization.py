@@ -182,6 +182,20 @@ class TestGeneratedPairs:
             current = apply_t_transform(current, t)
         assert np.array_equal(current, pair.a)
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_anti_ordered_chain_starts_outside_pn(self, seed, n):
+        pair = generate_hypothesis_pair(n, "chain", seed=seed, anti_ordered=True)
+        assert np.all(np.diff(pair.b[0]) > 0) and np.all(np.diff(pair.b[1]) < 0)
+        assert not pn_membership(pair.b)
+        current = pair.b
+        for t in pair.transforms:
+            current = apply_t_transform(current, t)
+        assert np.array_equal(current, pair.a)
+        again = generate_hypothesis_pair(n, "chain", seed=seed, anti_ordered=True)
+        assert np.array_equal(again.a, pair.a) and np.array_equal(again.b, pair.b)
+        assert again.transforms == pair.transforms
+
     def test_plain_pair_carries_its_transform_chain(self):
         pair = generate_hypothesis_pair(3, "plain", seed=5)
         assert len(pair.transforms) >= 1

@@ -12,7 +12,6 @@ from stochord import (
     SampleBatch,
     SystemSpec,
     WeibullG,
-    empirical_system_check,
     ks_distance,
     sample,
     sample_system,
@@ -88,13 +87,6 @@ class TestSystemSampling:
         direct = sample(model, 400, seed=21)
         via_system = sample_system(SystemSpec((model,), "series"), 400, seed=21)
         assert np.array_equal(direct.values, via_system.values)
-
-    @pytest.mark.parametrize("structure", ["series", "parallel"])
-    def test_empirical_check_passes_for_true_law(self, structure):
-        system = SystemSpec((WeibullG(4.8, 3.0, 2.5), WeibullG(3.4, 3.0, 1.6)), structure)
-        report = empirical_system_check(system, 20_000, seed=1)
-        assert report.passed and report.ks <= report.threshold
-        assert report.structure == structure and report.count == 20_000
 
     def test_empirical_check_fails_for_wrong_structure(self):
         components = (WeibullG(4.8, 3.0, 2.5), WeibullG(3.4, 3.0, 1.6))

@@ -90,30 +90,8 @@ class TestCertifiers:
         assert verdict.method == "sf-pointwise"
 
     def test_hr_hazard_and_sf_ratio_paths_agree(self):
-        by_hazard = certify_hr(SMALLER, LARGER, method="hazard")
-        by_ratio = certify_hr(SMALLER, LARGER, method="sf-ratio")
-        assert by_hazard.holds and by_ratio.holds
-        assert by_hazard.method == "hazard" and by_ratio.method == "sf-ratio"
-        auto = certify_hr(SMALLER, LARGER)
-        assert auto.method == "hazard"
-
-    def test_hr_sf_ratio_truncates_on_survival_underflow(self):
-        f = GompertzMakeham(1.0, 1.0, 300.0)
-        g = GompertzMakeham(1.0, 1.0, 0.1)
-        verdict = certify_hr(f, g, method="sf-ratio")
-        assert verdict.holds and verdict.truncated
-        assert verdict.grid_count < 2048
-
-    def test_hr_sf_ratio_raises_when_nothing_usable(self):
-        f = GompertzMakeham(1.0, 1.0, 300.0)
-        g = GompertzMakeham(1.0, 1.0, 0.1)
-        dead = Grid(points=np.geomspace(7.0, 8.0, 16))
-        with pytest.raises(EvaluationDomainError):
-            certify_hr(f, g, grid=dead, method="sf-ratio")
-
-    def test_hr_method_validation(self):
-        with pytest.raises(ValueError):
-            certify_hr(SMALLER, LARGER, method="pdf")
+        by_hazard = certify_hr(SMALLER, LARGER)
+        assert by_hazard.holds and by_hazard.method == "hazard"
 
     def test_rh_excludes_zero_cdf_points(self):
         deep = Grid(points=np.geomspace(1e-200, 1.0, 32))
@@ -275,20 +253,17 @@ class TestRows:
 
 
 class TestCurve:
-    @given(_system_pairs(STRUCTURES), st.sampled_from([*ORDERS, "sf-ratio"]),
+    @given(_system_pairs(STRUCTURES), st.sampled_from(ORDERS),
            st.sampled_from([None, 50.0]))
     @settings(max_examples=200, deadline=None)
     def test_margin_and_witness_come_from_the_curve(self, pair, order, x_max):
         # x_max = 50 leaves inf and nan slack in the curve, past the support
         grid = Grid.for_models(*pair, count=256, x_max=x_max)
-        if order == "sf-ratio":
-            verdict = certify_hr(*pair, grid=grid, method="sf-ratio")
-        else:
-            verdict = certify(order, *pair, grid=grid)
+        verdict = certify(order, *pair, grid=grid)
         curve = verdict.curve
         assert curve.x.shape == curve.lhs.shape == curve.rhs.shape == curve.diff.shape
-        # the monotone orders' first point has no increment
-        first = 1 if verdict.method in ("log-pdf-ratio", "sf-ratio") else 0
+        # lr's first point has no increment
+        first = 1 if verdict.method == "log-pdf-ratio" else 0
         diff, xs = curve.diff[first:], curve.x[first:]
         finite = np.isfinite(diff)
         worst = int(np.argmin(diff[finite]))
@@ -315,9 +290,10 @@ class TestImplicationChain:
                                     rng.uniform(0.1, 2.0))
                 g = GompertzMakeham(rng.uniform(0.3, 3.0), rng.uniform(0.5, 2.5),
                                     rng.uniform(0.1, 2.0))
-            lr = certify_lr(f, g, count=512)
-            hr = certify_hr(f, g, count=512)
-            stv = certify_st(f, g, count=512)
+            grid = Grid.for_models(f, g, count=512)
+            lr = certify_lr(f, g, grid=grid)
+            hr = certify_hr(f, g, grid=grid)
+            stv = certify_st(f, g, grid=grid)
             lr_holds += lr.holds
             if lr.holds:
                 assert hr.holds and stv.holds
