@@ -44,7 +44,6 @@ from .models import (
     EXPONENTIAL_STANDARD,
     Baseline,
     GompertzMakeham,
-    OddsFn,
     WeibullG,
 )
 from .montecarlo import (
@@ -95,7 +94,6 @@ __all__ = [
     "MAJORIZATION_KINDS",
     "MajorizationSummary",
     "ORDERS",
-    "OddsFn",
     "OrderVerdict",
     "SCENARIO_IDS",
     "STRUCTURES",

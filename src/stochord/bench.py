@@ -70,8 +70,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .majorization import TTransform, _apply_columns, generate_hypothesis_pair
-from .models import ComponentStack, GompertzMakeham, WeibullG, _support_upper
-from .orders import _SPAN_DECADES, _TAIL, OrderVerdict, certify_rows, grid_points
+from .models import _TAIL, ComponentStack, GompertzMakeham, WeibullG, _support_upper
+from .orders import _DEFAULT_COUNT, _SPAN_DECADES, Curve, OrderVerdict, certify_rows, grid_points
 # the single-pair certifiers stay in this namespace, where perfbench's tracer
 # and its self-tests look them up
 from .orders import certify_hr, certify_rh, certify_st  # noqa: F401
@@ -145,7 +145,7 @@ class TheoremScenario:
     scenario_id: str
     count: int = 200
     seed: int = 0
-    grid_count: int = 2048
+    grid_count: int = _DEFAULT_COUNT
     tolerance: float = 1e-9
     n: int | None = None
 
@@ -160,13 +160,9 @@ class TheoremScenario:
 
 
 @dataclass(frozen=True, eq=False)
-class CurveSample:
-    """One exported comparison curve: x, the two sides, and the slack."""
+class CurveSample(Curve):
+    """One exported comparison curve: a ``Curve`` with the names of its two sides."""
 
-    x: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    diff: np.ndarray
     lhs_label: str
     rhs_label: str
 
@@ -417,8 +413,7 @@ def _draw_lambda_aggregate(scenario: TheoremScenario, rng: np.random.Generator) 
     def curve(xs: np.ndarray) -> CurveSample:
         agg_x = np.asarray(lambda_aggregate_sf(lam, alpha, beta, xs))
         agg_y = np.asarray(lambda_aggregate_sf(lam_small, alpha, beta, xs))
-        return CurveSample(x=xs, lhs=agg_x, rhs=agg_y, diff=agg_y - agg_x,
-                           lhs_label="sf_rate_sum_high", rhs_label="sf_rate_sum_low")
+        return CurveSample(xs, agg_x, agg_y, agg_y - agg_x, "sf_rate_sum_high", "sf_rate_sum_low")
 
     return _Draw([_params(alpha, beta, lam), _params(alpha, beta, lam_small)], [(0, 1)],
                  judge, tail=(0,), curve=curve)
@@ -514,9 +509,8 @@ def _curve(plan: _Plan, draw: _Draw, xs: np.ndarray, last: OrderVerdict) -> Curv
     if draw.curve is not None:
         return draw.curve(xs.copy())
     curve = last.curve
-    lhs_label, rhs_label = _CURVE_LABELS[plan.order]
-    return CurveSample(x=curve.x.copy(), lhs=curve.lhs.copy(), rhs=curve.rhs.copy(),
-                       diff=curve.diff.copy(), lhs_label=lhs_label, rhs_label=rhs_label)
+    return CurveSample(curve.x.copy(), curve.lhs.copy(), curve.rhs.copy(), curve.diff.copy(),
+                       *_CURVE_LABELS[plan.order])
 
 
 def _run(scenario: TheoremScenario, disabled: str | None) -> BenchReport:

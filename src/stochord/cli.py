@@ -40,7 +40,7 @@ from .majorization import (
 )
 from .models import GompertzMakeham, WeibullG
 from .montecarlo import ks_distance, sample, sample_system
-from .orders import ORDERS, Grid, certify
+from .orders import _DEFAULT_COUNT, ORDERS, Curve, Grid, certify
 from .systems import STRUCTURES, SystemSpec
 
 _FAMILY_ALIASES = {
@@ -94,6 +94,10 @@ def _write_csv(path: Path, header: str, columns, index: bool = False) -> None:
         except OSError:
             pass
         raise
+
+
+def _write_curve(path: Path, curve: Curve) -> None:
+    _write_csv(path, "x,lhs,rhs,diff", [curve.x, curve.lhs, curve.rhs, curve.diff])
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +196,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     order, first, second = _parse_compare_config(args.config, args.order)
     grid = Grid.for_models(first, second, count=args.grid, x_max=args.xmax)
     verdict = certify(order, first, second, grid=grid)
-    curve = verdict.curve
     out = Path(args.out or ".") / "compare_curve.csv"
-    _write_csv(out, "x,lhs,rhs,diff", [curve.x, curve.lhs, curve.rhs, curve.diff])
+    _write_curve(out, verdict.curve)
     print("command: compare")
     print(f"order: {order}")
     print(f"first: {first.label}")
@@ -223,8 +226,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
         print(line)
     if args.out is not None and report.curve is not None:
         out = Path(args.out) / f"theorem_{sid}_curve.csv"
-        curve = report.curve
-        _write_csv(out, "x,lhs,rhs,diff", [curve.x, curve.lhs, curve.rhs, curve.diff])
+        _write_curve(out, report.curve)
         print(f"curve: {out}")
     return 0 if report.all_passed else 3
 
@@ -333,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="certify an order between two configured systems")
     compare.add_argument("--config", required=True, help="JSON comparison config")
     compare.add_argument("--order", choices=ORDERS, help="override the configured order")
-    compare.add_argument("--grid", type=int, default=2048, help="grid point count")
+    compare.add_argument("--grid", type=int, default=_DEFAULT_COUNT, help="grid point count")
     compare.add_argument("--xmax", type=float, help="override the grid upper end")
     compare.add_argument("--seed", type=int, help="unused by compare; accepted for symmetry")
     compare.add_argument("--out", help="output directory (default: current)")
@@ -341,9 +343,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify-theorem", help="run one bench scenario")
     verify.add_argument("theorem", help="scenario id such as T3.1 or T4.5")
-    verify.add_argument("--count", type=int, default=200, help="instances to run")
+    verify.add_argument("--count", type=int, default=TheoremScenario.count, help="instances to run")
     verify.add_argument("--seed", type=int, help="batch seed (default STOCHORD_SEED or 0)")
-    verify.add_argument("--grid", type=int, default=2048, help="grid point count")
+    verify.add_argument("--grid", type=int, default=_DEFAULT_COUNT, help="grid point count")
     verify.add_argument("--out", help="directory for the scenario curve CSV")
     verify.set_defaults(run=cmd_verify_theorem)
 

@@ -7,11 +7,11 @@ distribution F. With w(t) = F(t) / (1 - F(t)),
     S(x) = exp(-H(x))
     r(x) = alpha beta gamma w(gamma x)**(beta - 1) w'(gamma x)
 
-The standard exponential baseline gives w(t) = e^t - 1 with w' = e^t,
-so every derived quantity (including the quantile function) is available
-in closed form. Arbitrary baselines are supported through a
-user-supplied cdf/pdf pair, from which w and w'(t) = f(t) / (1 - F(t))^2
-follow analytically.
+A ``Baseline`` is the pair w, w'. The standard exponential baseline gives
+w(t) = e^t - 1 with w' = e^t, so every derived quantity (including the
+quantile function) is available in closed form. ``Baseline.user_supplied``
+takes an arbitrary cdf/pdf pair and builds w = F / (1 - F) and
+w'(t) = f(t) / (1 - F(t))^2 from it.
 
 The Gompertz-Makeham lifetime has hazard rate lambda + alpha e^{beta x}
 and survival function
@@ -25,7 +25,9 @@ Both model classes expose the same evaluation surface (``cdf``, ``sf``,
 ``pdf``, ``hazard``, ``reversed_hazard``, ``cumulative_hazard``,
 ``quantile``, ``support_upper``), which is what the system and order
 layers program against. All evaluators accept scalars or arrays and
-return matching shapes.
+return matching shapes. Each class defines only ``cumulative_hazard``,
+``hazard`` and ``quantile``; the others are written once and assigned to
+both.
 
 Each family's cumulative hazard and hazard are written once, as
 broadcasting kernels (``wg_cumulative_hazard``, ``wg_hazard``,
@@ -50,6 +52,7 @@ from .errors import ConvergenceError, EvaluationDomainError
 _EXP_ARG_MAX = 700.0
 _QUANTILE_MAX_ITER = 200
 _QUANTILE_RESIDUAL = 1e-12
+_TAIL = 1e-6  # default survival probability left beyond support_upper and the grid end
 # interior points of a tail-search round, as fractions of the bracket, at
 # centre * _TAIL_SCALE + _TAIL_SHIFT for a centre in [0, 1]: 63 evenly spaced
 # ones shrink any bracket at least 64-fold, and 64 cluster around the centre
@@ -144,18 +147,18 @@ def density(chf: np.ndarray, hazard: np.ndarray) -> np.ndarray:
 # every row of a batch is bit-identical to the single evaluation.
 
 
-def wg_cumulative_hazard(x, alpha, beta, gamma, odds: OddsFn) -> np.ndarray:
+def wg_cumulative_hazard(x, alpha, beta, gamma, baseline: Baseline) -> np.ndarray:
     """Weibull-G H(x) = alpha * w(gamma x)**beta."""
-    w = odds.w(np.minimum(gamma * x, _EXP_ARG_MAX))
+    w = baseline.w(np.minimum(gamma * x, _EXP_ARG_MAX))
     with np.errstate(over="ignore"):
         return alpha * _power(w, beta)
 
 
-def wg_hazard(x, alpha, beta, gamma, odds: OddsFn) -> np.ndarray:
+def wg_hazard(x, alpha, beta, gamma, baseline: Baseline) -> np.ndarray:
     """Weibull-G r(x) = alpha beta gamma w(gamma x)**(beta-1) w'(gamma x)."""
     t = np.minimum(gamma * x, _EXP_ARG_MAX)
-    w = odds.w(t)
-    d1 = odds.d1(t)
+    w = baseline.w(t)
+    d1 = baseline.d1(t)
     with np.errstate(divide="ignore", over="ignore"):
         return alpha * beta * gamma * _power(w, beta - 1.0) * d1
 
@@ -173,29 +176,31 @@ def gm_hazard(x, alpha, beta, lam) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OddsFn:
-    """The odds transform w(t) = F(t) / (1 - F(t)) of a baseline cdf.
+class Baseline:
+    """A baseline distribution F, held as its odds w(t) = F(t) / (1 - F(t)).
 
-    Bundles the transform with its first derivative, which is as deep as
-    any hazard or density expression in this package needs.
+    The odds and their first derivative are as deep as any hazard or
+    density expression in this package needs.
 
     Attributes
     ----------
+    kind : str
+        One of ``"exponential-standard"`` or ``"user-supplied"``.
     w, d1 : callable
         Vectorized evaluators for w and w'.
     """
 
+    kind: str
     w: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
 
-    @classmethod
-    def exponential(cls) -> "OddsFn":
-        """Exact odds of the standard exponential: w(t) = e^t - 1."""
-        return cls(w=np.expm1, d1=np.exp)
+    def __post_init__(self):
+        if self.kind not in BASELINE_KINDS:
+            raise ValueError(f"baseline kind must be one of {BASELINE_KINDS}, got {self.kind!r}")
 
     @classmethod
-    def from_cdf_pdf(cls, cdf: Callable, pdf: Callable) -> "OddsFn":
-        """Build the odds transform of an arbitrary baseline.
+    def user_supplied(cls, cdf: Callable, pdf: Callable) -> "Baseline":
+        """The odds of an arbitrary baseline cdf F with density f.
 
         The derivative uses the identity w'(t) = f(t) / (1 - F(t))^2.
         """
@@ -212,44 +217,11 @@ class OddsFn:
             with np.errstate(divide="ignore"):
                 return np.asarray(pdf(t) / (1.0 - f_val) ** 2, dtype=float)
 
-        return cls(w=w, d1=d1)
+        return cls("user-supplied", w, d1)
 
 
-@dataclass(frozen=True)
-class Baseline:
-    """A baseline distribution F feeding the odds transform.
-
-    Attributes
-    ----------
-    kind : str
-        One of ``"exponential-standard"`` or ``"user-supplied"``.
-    cdf, pdf : callable
-        Evaluators for F and its density on [0, inf).
-    odds : OddsFn
-        The odds transform of F with its derivative.
-    """
-
-    kind: str
-    cdf: Callable[[np.ndarray], np.ndarray]
-    pdf: Callable[[np.ndarray], np.ndarray]
-    odds: OddsFn
-
-    def __post_init__(self):
-        if self.kind not in BASELINE_KINDS:
-            raise ValueError(f"baseline kind must be one of {BASELINE_KINDS}, got {self.kind!r}")
-
-    @classmethod
-    def user_supplied(cls, cdf: Callable, pdf: Callable) -> "Baseline":
-        """Wrap a cdf/pdf pair, deriving the odds transform from them."""
-        return cls(kind="user-supplied", cdf=cdf, pdf=pdf, odds=OddsFn.from_cdf_pdf(cdf, pdf))
-
-
-EXPONENTIAL_STANDARD = Baseline(
-    kind="exponential-standard",
-    cdf=lambda t: -np.expm1(-np.asarray(t, dtype=float)),
-    pdf=lambda t: np.exp(-np.asarray(t, dtype=float)),
-    odds=OddsFn.exponential(),
-)
+# exact odds of the standard exponential: w(t) = e^t - 1, w'(t) = e^t
+EXPONENTIAL_STANDARD = Baseline("exponential-standard", np.expm1, np.exp)
 
 
 def _validate_positive(**params) -> None:
@@ -258,6 +230,60 @@ def _validate_positive(**params) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+class _Derived:
+    """The evaluators derived from ``cumulative_hazard`` and ``hazard``, written once.
+
+    A namespace, not a base class: see ``_derive_evaluators``.
+    """
+
+    def sf(self, x):
+        """Survival function exp(-H(x))."""
+        return _match(x, survival(np.asarray(self.cumulative_hazard(_as_array(x)))))
+
+    def cdf(self, x):
+        """Distribution function 1 - exp(-H(x)), computed as -expm1(-H)."""
+        return _match(x, distribution(np.asarray(self.cumulative_hazard(_as_array(x)))))
+
+    def log_cdf(self, x):
+        """log F(x), with relative precision in both tails (see log1mexp)."""
+        return _match(x, log1mexp(np.asarray(self.cumulative_hazard(_as_array(x)))))
+
+    def pdf(self, x):
+        """Density, as hazard times survival; zero once survival underflows."""
+        xa = _as_array(x)
+        chf = np.asarray(self.cumulative_hazard(xa))
+        return _match(x, density(chf, np.asarray(self.hazard(xa))))
+
+    def reversed_hazard(self, x):
+        """pdf(x) / cdf(x); undefined where the cdf is zero."""
+        xa = _as_array(x)
+        cdf = np.asarray(self.cdf(xa))
+        if np.any(cdf == 0.0):
+            raise EvaluationDomainError(
+                "reversed hazard undefined where cdf(x) = 0; evaluate at x > 0"
+            )
+        return _match(x, np.asarray(self.pdf(xa)) / cdf)
+
+    def support_upper(self, tail: float = _TAIL) -> float:
+        """Smallest bracketing x with sf(x) <= tail."""
+        return float(_support_upper(self.sf, tail)[0])
+
+
+def _derive_evaluators(cls: type) -> type:
+    """Class decorator: put each ``_Derived`` evaluator into cls's own namespace.
+
+    The functions are assigned rather than inherited because the
+    benchmark's tracer (perfbench/tracing.py) wraps every evaluator it
+    looks up in a class's own ``__dict__``, where an inherited method is
+    missing.
+    """
+    for name, fn in vars(_Derived).items():
+        if not name.startswith("__"):
+            setattr(cls, name, fn)
+    return cls
+
+
+@_derive_evaluators
 @dataclass(frozen=True)
 class WeibullG:
     """Weibull-G lifetime with shape ``beta`` and scales ``alpha``, ``gamma``.
@@ -288,42 +314,13 @@ class WeibullG:
 
     def cumulative_hazard(self, x):
         """H(x) = alpha * w(gamma x)**beta, the negative log survival."""
-        out = wg_cumulative_hazard(_as_array(x), self.alpha, self.beta, self.gamma,
-                                   self.baseline.odds)
+        out = wg_cumulative_hazard(_as_array(x), self.alpha, self.beta, self.gamma, self.baseline)
         return _match(x, out)
-
-    def sf(self, x):
-        """Survival function exp(-H(x))."""
-        return _match(x, survival(np.asarray(self.cumulative_hazard(_as_array(x)))))
-
-    def cdf(self, x):
-        """Distribution function 1 - exp(-H(x)), computed as -expm1(-H)."""
-        return _match(x, distribution(np.asarray(self.cumulative_hazard(_as_array(x)))))
-
-    def log_cdf(self, x):
-        """log F(x), with relative precision in both tails (see log1mexp)."""
-        return _match(x, log1mexp(np.asarray(self.cumulative_hazard(_as_array(x)))))
 
     def hazard(self, x):
         """r(x) = alpha beta gamma w(gamma x)**(beta-1) w'(gamma x)."""
-        out = wg_hazard(_as_array(x), self.alpha, self.beta, self.gamma, self.baseline.odds)
+        out = wg_hazard(_as_array(x), self.alpha, self.beta, self.gamma, self.baseline)
         return _match(x, out)
-
-    def pdf(self, x):
-        """Density, as hazard times survival; zero once survival underflows."""
-        xa = _as_array(x)
-        chf = np.asarray(self.cumulative_hazard(xa))
-        return _match(x, density(chf, np.asarray(self.hazard(xa))))
-
-    def reversed_hazard(self, x):
-        """pdf(x) / cdf(x); undefined where the cdf is zero."""
-        xa = _as_array(x)
-        cdf = np.asarray(self.cdf(xa))
-        if np.any(cdf == 0.0):
-            raise EvaluationDomainError(
-                "reversed hazard undefined where cdf(x) = 0; evaluate at x > 0"
-            )
-        return _match(x, np.asarray(self.pdf(xa)) / cdf)
 
     def quantile(self, u):
         """Inverse cdf on 0 < u < 1.
@@ -339,11 +336,8 @@ class WeibullG:
             return _match(u, np.log1p(core) / self.gamma)
         return _match(u, _invert_cdf(self.cdf, ua))
 
-    def support_upper(self, tail: float = 1e-6) -> float:
-        """Smallest bracketing x with sf(x) <= tail."""
-        return float(_support_upper(self.sf, tail)[0])
 
-
+@_derive_evaluators
 @dataclass(frozen=True)
 class GompertzMakeham:
     """Gompertz-Makeham lifetime with hazard lambda + alpha e^{beta x}.
@@ -371,32 +365,9 @@ class GompertzMakeham:
         """H(x) = lambda x + (alpha/beta)(e^{beta x} - 1)."""
         return _match(x, gm_cumulative_hazard(_as_array(x), self.alpha, self.beta, self.lam))
 
-    def sf(self, x):
-        return _match(x, survival(np.asarray(self.cumulative_hazard(_as_array(x)))))
-
-    def cdf(self, x):
-        return _match(x, distribution(np.asarray(self.cumulative_hazard(_as_array(x)))))
-
-    def log_cdf(self, x):
-        return _match(x, log1mexp(np.asarray(self.cumulative_hazard(_as_array(x)))))
-
     def hazard(self, x):
         """Exactly lambda + alpha e^{beta x}."""
         return _match(x, gm_hazard(_as_array(x), self.alpha, self.beta, self.lam))
-
-    def pdf(self, x):
-        xa = _as_array(x)
-        chf = np.asarray(self.cumulative_hazard(xa))
-        return _match(x, density(chf, np.asarray(self.hazard(xa))))
-
-    def reversed_hazard(self, x):
-        xa = _as_array(x)
-        cdf = np.asarray(self.cdf(xa))
-        if np.any(cdf == 0.0):
-            raise EvaluationDomainError(
-                "reversed hazard undefined where cdf(x) = 0; evaluate at x > 0"
-            )
-        return _match(x, np.asarray(self.pdf(xa)) / cdf)
 
     def quantile(self, u):
         """Inverse cdf on 0 < u < 1, by Newton's method on the cumulative hazard.
@@ -422,9 +393,6 @@ class GompertzMakeham:
             x = np.minimum(newton, x)
         _check_residual(self.cdf(x), ua)
         return _match(u, x)
-
-    def support_upper(self, tail: float = 1e-6) -> float:
-        return float(_support_upper(self.sf, tail)[0])
 
 
 # parameter names, cumulative hazard kernel and hazard kernel of each family
@@ -457,7 +425,7 @@ class ComponentStack:
         _, self._chf, self._hazard = _family(family)
         self.family = family
         self.baseline = baseline
-        extra = (baseline.odds,) if family is WeibullG else ()
+        extra = (baseline,) if family is WeibullG else ()
         arrays = [np.asarray(p, dtype=float) for p in params]
         self.width = arrays[0].shape[1]
         # one system evaluates with float parameters, as the model methods do

@@ -28,14 +28,16 @@ from functools import reduce
 import numpy as np
 
 from .errors import EvaluationDomainError
-from .models import _support_upper
+from .models import _TAIL, _support_upper
 
 ORDERS = ("st", "hr", "rh", "lr")
+# how each order is judged, as OrderVerdict.method reports it
+_METHODS = {"st": "sf-pointwise", "hr": "hazard", "rh": "reversed-hazard", "lr": "log-pdf-ratio"}
+_POINTWISE = ("st", "hr", "rh")
 
 _MIN_GRID = 16
 _DEFAULT_COUNT = 2048
 _SPAN_DECADES = 4.0
-_TAIL = 1e-6  # survival probability left beyond the grid end
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ class OrderVerdict:
     (rh) was zero, where a density (lr) was zero or not finite, or where
     the slack was not finite. ``curve`` is the ``Curve`` the margin was
     taken from, before non-finite slack was dropped; it takes no part in
-    comparing verdicts.
+    comparing verdicts. ``method`` names how the order was judged.
     """
 
     order: str
@@ -137,9 +139,12 @@ class OrderVerdict:
     tolerance: float
     witness_x: float | None
     grid_count: int
-    method: str
     truncated: bool = False
     curve: Curve | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def method(self) -> str:
+        return _METHODS[self.order]
 
 
 def _default_tolerance(scale: float) -> float:
@@ -158,7 +163,6 @@ def _finish(
     witness_pool: np.ndarray,
     tolerance: float | None,
     scaled: tuple[np.ndarray, ...],
-    method: str,
     truncated: bool,
     curve: Curve,
 ) -> OrderVerdict:
@@ -183,14 +187,9 @@ def _finish(
         tolerance=tol,
         witness_x=None if holds else float(witness_pool[worst]),
         grid_count=int(witness_pool.size),
-        method=method,
         truncated=truncated,
         curve=curve,
     )
-
-
-# the pointwise orders and the method each reports
-_POINTWISE = {"st": "sf-pointwise", "hr": "hazard", "rh": "reversed-hazard"}
 
 
 def _pointwise(order: str, f_values: np.ndarray, g_values: np.ndarray, xs: np.ndarray,
@@ -209,8 +208,8 @@ def _pointwise(order: str, f_values: np.ndarray, g_values: np.ndarray, xs: np.nd
             raise EvaluationDomainError("cdf underflow leaves fewer than two usable grid points")
     with np.errstate(invalid="ignore"):
         slack = f_values - g_values if order == "hr" else g_values - f_values
-    return _finish(order, slack, xs, tolerance, (f_values, g_values), _POINTWISE[order],
-                   truncated, Curve(xs, f_values, g_values, slack))
+    return _finish(order, slack, xs, tolerance, (f_values, g_values), truncated,
+                   Curve(xs, f_values, g_values, slack))
 
 
 def certify_rows(order: str, f_values, g_values, points, tolerance: float | None = None,
@@ -225,7 +224,7 @@ def certify_rows(order: str, f_values, g_values, points, tolerance: float | None
     one certify_st, certify_hr or certify_rh reaches on that row's grid.
     """
     if order not in _POINTWISE:
-        raise ValueError(f"row certification covers {tuple(_POINTWISE)}, got {order!r}")
+        raise ValueError(f"row certification covers {_POINTWISE}, got {order!r}")
     return [_pointwise(order, f, g, xs, tolerance, None if keep is None else keep[r])
             for r, (f, g, xs) in enumerate(zip(f_values, g_values, points))]
 
@@ -281,8 +280,7 @@ def certify_lr(f, g, grid: Grid | None = None, tolerance: float | None = None) -
     log_f, log_g = np.log(pdf_f[keep]), np.log(pdf_g[keep])
     ratio = log_g - log_f
     slack = np.diff(ratio)
-    return _finish("lr", slack, xs_kept[1:], tolerance, (ratio,), "log-pdf-ratio",
-                   not bool(keep.all()),
+    return _finish("lr", slack, xs_kept[1:], tolerance, (ratio,), not bool(keep.all()),
                    Curve(xs_kept, log_f, log_g, np.concatenate([[0.0], slack])))
 
 

@@ -34,9 +34,9 @@ from .models import (
     ComponentStack,
     WeibullG,
     _as_array,
+    _Derived,
     _family,
     _match,
-    _support_upper,
     density,
     distribution,
     log1mexp,
@@ -221,9 +221,8 @@ class SystemSpec:
         """Density of the system lifetime via the leave-one-out product rule."""
         return self._evaluate("pdf", x)
 
-    def support_upper(self, tail: float = 1e-6) -> float:
-        """Smallest bracketing x with system sf(x) <= tail."""
-        return float(_support_upper(self.sf, tail)[0])
+    # assigned, not inherited: see models._derive_evaluators
+    support_upper = _Derived.support_upper
 
 
 def _leave_one_out_products(factors: list[np.ndarray]) -> list[np.ndarray]:
@@ -265,8 +264,8 @@ def parallel_reversed_hazard_factored(system: SystemSpec, x):
     xa = _as_array(x)
     beta, gamma = first.beta, first.gamma
     t = gamma * xa
-    w = first.baseline.odds.w(t)
-    d1 = first.baseline.odds.d1(t)
+    w = first.baseline.w(t)
+    d1 = first.baseline.d1(t)
     if np.any(np.asarray(w) <= 0.0):
         raise EvaluationDomainError("factored reversed hazard undefined where cdf(x) = 0")
     z = w**beta

@@ -21,7 +21,6 @@ from stochord import (
     ConvergenceError,
     EvaluationDomainError,
     GompertzMakeham,
-    OddsFn,
     WeibullG,
 )
 from stochord.models import _support_upper
@@ -310,8 +309,7 @@ class TestDomainAndValidation:
 
     def test_baseline_kind_is_validated(self):
         with pytest.raises(ValueError):
-            Baseline(kind="weird", cdf=lambda t: t, pdf=lambda t: t,
-                     odds=OddsFn.exponential())
+            Baseline(kind="weird", w=np.expm1, d1=np.exp)
 
 
 class TestCustomBaseline:
@@ -340,13 +338,12 @@ class TestCustomBaseline:
         assert model.cdf(2.5) == 1.0  # baseline saturated: odds infinite
 
     def test_user_odds_derivative_matches_exponential(self):
-        odds = EXPONENTIAL_STANDARD.odds
-        custom = OddsFn.from_cdf_pdf(
+        custom = Baseline.user_supplied(
             cdf=lambda t: -np.expm1(-np.asarray(t, dtype=float)),
             pdf=lambda t: np.exp(-np.asarray(t, dtype=float)),
         )
         ts = np.linspace(0.1, 2.0, 16)
-        assert_allclose(custom.d1(ts), odds.d1(ts), rtol=1e-12)
+        assert_allclose(custom.d1(ts), EXPONENTIAL_STANDARD.d1(ts), rtol=1e-12)
 
     def test_quantile_convergence_error_when_mass_unreachable(self):
         from stochord.models import _invert_cdf
