@@ -11,7 +11,6 @@ checks (``montecarlo``), and the command-line front end (``cli``).
 from .bench import (
     SCENARIO_IDS,
     BenchReport,
-    CurveSample,
     InstanceFailure,
     TheoremScenario,
     counterexample_probe,
@@ -82,7 +81,6 @@ __all__ = [
     "BenchReport",
     "ConfigError",
     "ConvergenceError",
-    "CurveSample",
     "EXPONENTIAL_STANDARD",
     "EvaluationDomainError",
     "GENERATOR_KINDS",

@@ -25,7 +25,10 @@ random instances through the order certifiers:
 * T4.5: parallel Gompertz-Makeham with shared alpha and beta; weak
   supermajorization of the rate vector implies the usual order.
 
-Instance 0 of T3.1 and T4.1 is pinned to the worked 2 x 2 example
+Each scenario is one record of ``_SCENARIOS``: its claim text, the
+hypotheses a probe may disable, its systems' family and structure, its
+order, its grid span and its draw function. Instance 0 of each 2 x 2
+single-transform claim (T3.1, T4.1) is pinned to the worked example
 matrix [[4.8, 3.4], [2.5, 1.6]] with mixing weight 0.45 so the bench
 always reproduces the reference curves; the report keeps that curve for
 the CLI to export.
@@ -46,10 +49,13 @@ A scenario runs as one batch, in three phases:
    with ``SeedSequence((seed, index))``, in the same draw order as a
    single instance would use. A draw holds its systems as (3, n)
    parameter rows and the pairs of systems its claim orders.
-2. Find every grid end in one row-wise tail search per component count:
-   the systems whose tails set the grid (both ends of a chain, both
-   systems of a pair, the first system of T4.4) are stacked as (S, n)
-   parameter arrays and searched together by ``models._support_upper``.
+2. Find every grid end by the ``Grid.for_models`` rule, in one row-wise
+   tail search per component count: each row is one draw, and its
+   survival is the pointwise maximum of the sf of its tail systems (both
+   ends of a chain, both systems of a pair, the first system of T4.4),
+   evaluated on one stack of (S, n) parameter arrays. For nonincreasing
+   survivals that search ends exactly at the largest of the systems' own
+   tail points.
 3. Build the grids and certify: draws of one component count are taken
    in blocks of at most 8 systems (at the default 2048 grid points), each
    system is evaluated on its draw's grid row through one SystemStack, and
@@ -65,63 +71,19 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .majorization import TTransform, _apply_columns, generate_hypothesis_pair
 from .models import _TAIL, ComponentStack, GompertzMakeham, WeibullG, _support_upper
-from .orders import _DEFAULT_COUNT, _SPAN_DECADES, Curve, OrderVerdict, certify_rows, grid_points
+from .orders import (_DEFAULT_COUNT, _QUANTITY, _SPAN_DECADES, Curve, OrderVerdict, certify_rows,
+                     grid_points)
 # the single-pair certifiers stay in this namespace, where perfbench's tracer
 # and its self-tests look them up
 from .orders import certify_hr, certify_rh, certify_st  # noqa: F401
 from .systems import SystemStack, lambda_aggregate_sf
-
-SCENARIO_IDS = (
-    "T3.1", "T3.2", "T3.3", "T3.4", "T3.5",
-    "T4.1", "T4.2", "T4.3", "T4.4", "T4.5",
-)
-
-_CLAIMS = {
-    "T3.1": "series Weibull-G (2 components, shared shape in [2,4]): one column-averaging "
-            "transform of the similarly ordered (alpha; gamma) matrix raises the system "
-            "in the hazard rate order",
-    "T3.2": "series Weibull-G (n components, shared shape in [2,4]): one column-averaging "
-            "transform of the similarly ordered (alpha; gamma) matrix raises the system "
-            "in the hazard rate order",
-    "T3.3": "series Weibull-G (shared shape in [2,4]): a transform chain with similarly "
-            "ordered intermediates raises the system in the hazard rate order at every step",
-    "T3.4": "parallel Weibull-G (shared beta, gamma): weak supermajorization of the alpha "
-            "vector implies the reversed hazard order",
-    "T3.5": "parallel Weibull-G (shared alpha, beta): weak supermajorization of the gamma "
-            "vector implies the usual stochastic order",
-    "T4.1": "series Gompertz-Makeham (2 components, shared rate): one column-averaging "
-            "transform of the similarly ordered (alpha; beta) matrix raises the system in "
-            "the hazard rate order, with a rate-invariant hazard gap",
-    "T4.2": "series Gompertz-Makeham (n components, shared rate): one column-averaging "
-            "transform of the similarly ordered (alpha; beta) matrix raises the system in "
-            "the hazard rate order",
-    "T4.3": "series Gompertz-Makeham (shared rate): a transform chain with similarly "
-            "ordered intermediates raises the system in the hazard rate order at every step",
-    "T4.4": "series Gompertz-Makeham (shared alpha, beta): survival depends on the rate "
-            "vector only through its sum, and lowering the sum raises the system in the "
-            "usual stochastic order",
-    "T4.5": "parallel Gompertz-Makeham (shared alpha, beta): weak supermajorization of "
-            "the rate vector implies the usual stochastic order",
-}
-
-_HYPOTHESES = {
-    "T3.1": ("pn", "beta_ge_2"),
-    "T3.2": ("pn", "beta_ge_2"),
-    "T3.3": ("pn", "beta_ge_2"),
-    "T3.4": (),
-    "T3.5": (),
-    "T4.1": ("pn",),
-    "T4.2": ("pn",),
-    "T4.3": ("pn",),
-    "T4.4": (),
-    "T4.5": (),
-}
 
 EXAMPLE_MATRIX = np.array([[4.8, 3.4], [2.5, 1.6]])
 EXAMPLE_TRANSFORM = TTransform(lam=0.45, i=0, j=1)
@@ -147,24 +109,13 @@ class TheoremScenario:
     seed: int = 0
     grid_count: int = _DEFAULT_COUNT
     tolerance: float = 1e-9
-    n: int | None = None
 
     def __post_init__(self):
-        if self.scenario_id not in SCENARIO_IDS:
+        if self.scenario_id not in _SCENARIOS:
             raise ValueError(f"unknown scenario id {self.scenario_id!r}; "
                              f"known ids: {', '.join(SCENARIO_IDS)}")
         if self.count < 1:
             raise ValueError("count must be at least 1")
-        if self.n is not None and self.n < 2:
-            raise ValueError("n must be at least 2")
-
-
-@dataclass(frozen=True, eq=False)
-class CurveSample(Curve):
-    """One exported comparison curve: a ``Curve`` with the names of its two sides."""
-
-    lhs_label: str
-    rhs_label: str
 
 
 @dataclass(frozen=True)
@@ -188,7 +139,7 @@ class BenchReport:
     passed: int
     worst_margin: float
     failures: tuple[InstanceFailure, ...]
-    curve: CurveSample | None
+    curve: Curve | None
     disabled_hypothesis: str | None = None
 
     @property
@@ -236,38 +187,12 @@ def _stack(family: type, structure: str, params: list[np.ndarray]) -> SystemStac
     return SystemStack(structure, [ComponentStack(family, tuple(rows[:, p, :] for p in range(3)))])
 
 
-class _Plan(NamedTuple):
-    """What one scenario certifies: its systems' family and structure, the
-    order and the grid span."""
-
-    family: type
-    structure: str
-    order: str
-    span_decades: float = _SPAN_DECADES
-
-
-_PLANS = {
-    **{sid: _Plan(WeibullG, "series", "hr") for sid in ("T3.1", "T3.2", "T3.3")},
-    **{sid: _Plan(GompertzMakeham, "series", "hr") for sid in ("T4.1", "T4.2", "T4.3")},
-    "T3.4": _Plan(WeibullG, "parallel", "rh", _RH_SPAN_DECADES),
-    "T3.5": _Plan(WeibullG, "parallel", "st"),
-    "T4.4": _Plan(GompertzMakeham, "series", "st"),
-    "T4.5": _Plan(GompertzMakeham, "parallel", "st"),
-}
-_QUANTITY = {"hr": "hazard", "rh": "reversed_hazard", "st": "sf"}
-_CURVE_LABELS = {
-    "hr": ("hazard_source", "hazard_transformed"),
-    "rh": ("reversed_hazard_x", "reversed_hazard_y"),
-    "st": ("sf_x", "sf_y"),
-}
-
-
 class _Draw(NamedTuple):
     """One drawn instance.
 
     ``systems`` holds each system's (3, n) parameter rows in the family's
     declaration order. Each pair (i, j) of ``pairs`` is a verdict that
-    system i lies below system j in the plan's order; the last pair is
+    system i lies below system j in the scenario's order; the last pair is
     the first and last system, whose verdict's curve is exported. ``tail``
     names the systems whose tail points set the grid end. ``judge`` turns
     the verdicts and the grid into (ok, failure detail); ``curve``, if set,
@@ -278,7 +203,7 @@ class _Draw(NamedTuple):
     pairs: list[tuple[int, int]]
     judge: Callable[[list[OrderVerdict], np.ndarray], tuple[bool, str]]
     tail: tuple[int, ...] = (0, -1)
-    curve: Callable[[np.ndarray], CurveSample] | None = None
+    curve: Callable[[np.ndarray], Curve] | None = None
 
 
 def _holds_or(detail: str):
@@ -291,17 +216,19 @@ def _holds_or(detail: str):
 def _draw_hr_chain(
     scenario: TheoremScenario,
     rng: np.random.Generator,
+    index: int,
+    disabled: str | None,
     family: type,
     n_range: tuple[int, int],
     k_range: tuple[int, int],
-    disabled: str | None,
-    pinned: bool,
 ) -> _Draw:
-    if pinned:
+    # instance 0 of a 2 x 2 single-transform claim replays the worked example
+    if index == 0 and disabled is None and n_range == (2, 2) and k_range == (1, 1):
         source, transforms = EXAMPLE_MATRIX, (EXAMPLE_TRANSFORM,)
         shared = EXAMPLE_WG_BETA if family is WeibullG else EXAMPLE_GM_LAM
+        sweep = family is GompertzMakeham
     else:
-        n = scenario.n if scenario.n is not None else int(rng.integers(n_range[0], n_range[1] + 1))
+        n = int(rng.integers(n_range[0], n_range[1] + 1))
         if family is WeibullG:
             lo, hi = (0.5, 2.0) if disabled == "beta_ge_2" else (2.0, 4.0)
             shared = float(rng.uniform(lo, hi))
@@ -309,7 +236,7 @@ def _draw_hr_chain(
             shared = float(rng.uniform(0.1, 10.0))
         pair = generate_hypothesis_pair(n, "chain", rng=rng, min_transforms=k_range[0],
                                         max_transforms=k_range[1], anti_ordered=disabled == "pn")
-        source, transforms = pair.b, pair.transforms
+        source, transforms, sweep = pair.b, pair.transforms, False
     # the source matrix and each partially transformed one, in order; all are
     # valid parameter matrices, so the replay skips apply_t_transform's checks
     mats = [source]
@@ -323,7 +250,6 @@ def _draw_hr_chain(
     pairs = [(i, i + 1) for i in range(len(mats) - 1)]
     if len(mats) > 2:
         pairs.append((0, len(mats) - 1))
-    sweep = pinned and family is GompertzMakeham
 
     def judge(verdicts: list[OrderVerdict], xs: np.ndarray) -> tuple[bool, str]:
         holds = all(v.holds for v in verdicts)
@@ -351,8 +277,9 @@ def _rate_sweep_deviation(source: np.ndarray, transformed: np.ndarray, xs: np.nd
     return dev
 
 
-def _draw_rh_parallel(scenario: TheoremScenario, rng: np.random.Generator) -> _Draw:
-    n = scenario.n if scenario.n is not None else int(rng.integers(2, 6))
+def _draw_rh_parallel(scenario: TheoremScenario, rng: np.random.Generator, index: int,
+                      disabled: str | None) -> _Draw:
+    n = int(rng.integers(2, 6))
     beta = float(rng.uniform(0.5, 4.0))
     gamma = float(rng.uniform(0.5, 5.0))
     pair = generate_hypothesis_pair(n, "weak_super", rng=rng)
@@ -360,11 +287,12 @@ def _draw_rh_parallel(scenario: TheoremScenario, rng: np.random.Generator) -> _D
                  _holds_or("reversed hazard order violated"))
 
 
-def _draw_st_parallel(scenario: TheoremScenario, rng: np.random.Generator, family: type) -> _Draw:
-    n = scenario.n if scenario.n is not None else int(rng.integers(2, 6))
+def _draw_st_parallel(scenario: TheoremScenario, rng: np.random.Generator, index: int,
+                      disabled: str | None, beta_hi: float) -> _Draw:
+    n = int(rng.integers(2, 6))
     pair = generate_hypothesis_pair(n, "weak_super", rng=rng)
     alpha = float(rng.uniform(0.5, 5.0))
-    beta = float(rng.uniform(0.5, 4.0 if family is WeibullG else 3.0))
+    beta = float(rng.uniform(0.5, beta_hi))
     # the weakly supermajorized vector is gamma (Weibull-G) or lambda (Gompertz-Makeham)
     return _Draw([_params(alpha, beta, pair.a), _params(alpha, beta, pair.b)], [(0, 1)],
                  _holds_or("usual order violated"))
@@ -375,8 +303,9 @@ def _dyadic(values: np.ndarray) -> np.ndarray:
     return np.maximum(np.round(values * _DYADIC) / _DYADIC, 1.0 / _DYADIC)
 
 
-def _draw_lambda_aggregate(scenario: TheoremScenario, rng: np.random.Generator) -> _Draw:
-    n = scenario.n if scenario.n is not None else int(rng.integers(2, 6))
+def _draw_lambda_aggregate(scenario: TheoremScenario, rng: np.random.Generator, index: int,
+                           disabled: str | None) -> _Draw:
+    n = int(rng.integers(2, 6))
     alpha = float(rng.uniform(0.5, 5.0))
     beta = float(rng.uniform(0.5, 3.0))
     lam = _dyadic(rng.uniform(0.1, 10.0, size=n))
@@ -410,65 +339,109 @@ def _draw_lambda_aggregate(scenario: TheoremScenario, rng: np.random.Generator) 
             return False, "usual order violated after lowering the rate sum"
         return True, ""
 
-    def curve(xs: np.ndarray) -> CurveSample:
+    def curve(xs: np.ndarray) -> Curve:
         agg_x = np.asarray(lambda_aggregate_sf(lam, alpha, beta, xs))
         agg_y = np.asarray(lambda_aggregate_sf(lam_small, alpha, beta, xs))
-        return CurveSample(xs, agg_x, agg_y, agg_y - agg_x, "sf_rate_sum_high", "sf_rate_sum_low")
+        return Curve(xs, agg_x, agg_y, agg_y - agg_x)
 
     return _Draw([_params(alpha, beta, lam), _params(alpha, beta, lam_small)], [(0, 1)],
                  judge, tail=(0,), curve=curve)
 
 
-def _draw(scenario: TheoremScenario, rng: np.random.Generator, index: int,
-          disabled: str | None) -> _Draw:
-    sid = scenario.scenario_id
-    pinned = index == 0 and disabled is None and sid in ("T3.1", "T4.1")
-    if sid in ("T3.1", "T3.2", "T3.3", "T4.1", "T4.2", "T4.3"):
-        family = WeibullG if sid.startswith("T3") else GompertzMakeham
-        n_range = (2, 2) if sid in ("T3.1", "T4.1") else (3, 5)
-        k_range = (2, 3) if sid in ("T3.3", "T4.3") else (1, 1)
-        return _draw_hr_chain(scenario, rng, family, n_range, k_range, disabled, pinned)
-    if sid == "T3.4":
-        return _draw_rh_parallel(scenario, rng)
-    if sid == "T3.5":
-        return _draw_st_parallel(scenario, rng, WeibullG)
-    if sid == "T4.5":
-        return _draw_st_parallel(scenario, rng, GompertzMakeham)
-    return _draw_lambda_aggregate(scenario, rng)
+class _Scenario(NamedTuple):
+    """One claim as the bench replays it: the claim text, the hypotheses a
+    probe may disable, the systems' family and structure, the order, the
+    grid span, and the draw of instance ``index`` from its generator."""
+
+    claim: str
+    hypotheses: tuple[str, ...]
+    family: type
+    structure: str
+    order: str
+    draw: Callable[[TheoremScenario, np.random.Generator, int, str | None], _Draw]
+    span_decades: float = _SPAN_DECADES
 
 
-def _by_width(members: list[tuple[int, int]], draws: list[_Draw]) -> dict[int, list]:
-    """Group (draw, system) pairs by component count, keeping their order."""
-    groups: dict[int, list] = {}
-    for k, i in members:
-        groups.setdefault(draws[k].systems[i].shape[1], []).append((k, i))
-    return groups
+def _chain(claim: str, family: type, n_range: tuple[int, int],
+           k_range: tuple[int, int]) -> _Scenario:
+    """A series hr claim on chains of 1 to 3 transforms of an n-column matrix."""
+    hypotheses = ("pn", "beta_ge_2") if family is WeibullG else ("pn",)
+    return _Scenario(claim, hypotheses, family, "series", "hr",
+                     partial(_draw_hr_chain, family=family, n_range=n_range, k_range=k_range))
 
 
-def _grid_ends(plan: _Plan, draws: list[_Draw]) -> np.ndarray:
-    """Each draw's grid end: the largest tail point of its tail systems.
+_SCENARIOS = {
+    "T3.1": _chain("series Weibull-G (2 components, shared shape in [2,4]): one column-averaging "
+                   "transform of the similarly ordered (alpha; gamma) matrix raises the system "
+                   "in the hazard rate order", WeibullG, (2, 2), (1, 1)),
+    "T3.2": _chain("series Weibull-G (n components, shared shape in [2,4]): one column-averaging "
+                   "transform of the similarly ordered (alpha; gamma) matrix raises the system "
+                   "in the hazard rate order", WeibullG, (3, 5), (1, 1)),
+    "T3.3": _chain("series Weibull-G (shared shape in [2,4]): a transform chain with similarly "
+                   "ordered intermediates raises the system in the hazard rate order at every "
+                   "step", WeibullG, (3, 5), (2, 3)),
+    "T3.4": _Scenario("parallel Weibull-G (shared beta, gamma): weak supermajorization of the "
+                      "alpha vector implies the reversed hazard order",
+                      (), WeibullG, "parallel", "rh", _draw_rh_parallel, _RH_SPAN_DECADES),
+    "T3.5": _Scenario("parallel Weibull-G (shared alpha, beta): weak supermajorization of the "
+                      "gamma vector implies the usual stochastic order",
+                      (), WeibullG, "parallel", "st", partial(_draw_st_parallel, beta_hi=4.0)),
+    "T4.1": _chain("series Gompertz-Makeham (2 components, shared rate): one column-averaging "
+                   "transform of the similarly ordered (alpha; beta) matrix raises the system in "
+                   "the hazard rate order, with a rate-invariant hazard gap",
+                   GompertzMakeham, (2, 2), (1, 1)),
+    "T4.2": _chain("series Gompertz-Makeham (n components, shared rate): one column-averaging "
+                   "transform of the similarly ordered (alpha; beta) matrix raises the system in "
+                   "the hazard rate order", GompertzMakeham, (3, 5), (1, 1)),
+    "T4.3": _chain("series Gompertz-Makeham (shared rate): a transform chain with similarly "
+                   "ordered intermediates raises the system in the hazard rate order at every "
+                   "step", GompertzMakeham, (3, 5), (2, 3)),
+    "T4.4": _Scenario("series Gompertz-Makeham (shared alpha, beta): survival depends on the "
+                      "rate vector only through its sum, and lowering the sum raises the system "
+                      "in the usual stochastic order",
+                      (), GompertzMakeham, "series", "st", _draw_lambda_aggregate),
+    "T4.5": _Scenario("parallel Gompertz-Makeham (shared alpha, beta): weak supermajorization "
+                      "of the rate vector implies the usual stochastic order",
+                      (), GompertzMakeham, "parallel", "st",
+                      partial(_draw_st_parallel, beta_hi=3.0)),
+}
+SCENARIO_IDS = tuple(_SCENARIOS)
 
-    All tail systems of one component count are searched together.
+
+def _by_width(draws: list[_Draw]) -> list[list[int]]:
+    """Draw indices grouped by component count, each group in index order."""
+    groups: dict[int, list[int]] = {}
+    for k, d in enumerate(draws):
+        groups.setdefault(d.systems[0].shape[1], []).append(k)
+    return list(groups.values())
+
+
+def _grid_ends(spec: _Scenario, draws: list[_Draw], groups: list[list[int]]) -> np.ndarray:
+    """Each draw's grid end by the Grid.for_models rule: one tail search over
+    the pointwise maximum of its tail systems' sf, a row per draw.
+
+    The draws of one component count are searched together.
     """
-    members = [(k, i % len(d.systems)) for k, d in enumerate(draws) for i in d.tail]
-    x_max = np.zeros(len(draws))
-    for group in _by_width(members, draws).values():
-        stack = _stack(plan.family, plan.structure, [draws[k].systems[i] for k, i in group])
-        points = _support_upper(stack.sf, _TAIL, rows=len(group))
-        for (k, _), point in zip(group, points):
-            x_max[k] = max(x_max[k], point)
+    x_max = np.empty(len(draws))
+    for ks in groups:
+        tails = [[draws[k].systems[i] for i in draws[k].tail] for k in ks]
+        sizes = [len(t) for t in tails]
+        starts = np.cumsum([0] + sizes[:-1])
+        stack = _stack(spec.family, spec.structure, [p for t in tails for p in t])
+
+        def sf(x):
+            return np.maximum.reduceat(stack.sf(np.repeat(x, sizes, axis=0)), starts, axis=0)
+
+        x_max[ks] = _support_upper(sf, _TAIL, rows=len(ks))
     return x_max
 
 
-def _blocks(draws: list[_Draw], rows: int):
+def _blocks(draws: list[_Draw], groups: list[list[int]], rows: int):
     """Draw indices in blocks of one component count and at most ``rows`` systems.
 
     A draw with more systems than ``rows`` gets a block of its own.
     """
-    by_width: dict[int, list[int]] = {}
-    for k, d in enumerate(draws):
-        by_width.setdefault(d.systems[0].shape[1], []).append(k)
-    for ks in by_width.values():
+    for ks in groups:
         block, held = [], 0
         for k in ks:
             size = len(draws[k].systems)
@@ -480,66 +453,64 @@ def _blocks(draws: list[_Draw], rows: int):
         yield block
 
 
-def _certify_block(scenario: TheoremScenario, plan: _Plan, draws: list[_Draw],
+def _certify_block(scenario: TheoremScenario, spec: _Scenario, draws: list[_Draw],
                    grids: np.ndarray) -> list[list[OrderVerdict]]:
     """Evaluate the systems of draws sharing one component count on their
     grid rows, and certify every pair; returns each draw's verdicts."""
-    members = [(k, i) for k, d in enumerate(draws) for i in range(len(d.systems))]
-    stack = _stack(plan.family, plan.structure, [draws[k].systems[i] for k, i in members])
-    xs = grids[[k for k, _ in members]]
-    values = dict(zip(members, getattr(stack, _QUANTITY[plan.order])(xs)))
-    rows = [(k, i, j) for k, d in enumerate(draws) for i, j in d.pairs]
+    sizes = [len(d.systems) for d in draws]
+    starts = np.cumsum([0] + sizes[:-1])
+    stack = _stack(spec.family, spec.structure, [p for d in draws for p in d.systems])
+    xs = np.repeat(grids, sizes, axis=0)
+    values = getattr(stack, _QUANTITY[spec.order])(xs)
+    # (row of the lower system, row of the upper one, grid) of every pair
+    rows = [(s + i, s + j, g) for d, s, g in zip(draws, starts, grids) for i, j in d.pairs]
     keep = None
-    if plan.order == "rh":
-        cdfs = dict(zip(members, stack.cdf(xs)))
-        keep = [(cdfs[(k, i)] > 0.0) & (cdfs[(k, j)] > 0.0) for k, i, j in rows]
-    verdicts = certify_rows(plan.order, [values[(k, i)] for k, i, _ in rows],
-                            [values[(k, j)] for k, _, j in rows], [grids[k] for k, _, _ in rows],
-                            tolerance=scenario.tolerance, keep=keep)
-    out, start = [], 0
-    for d in draws:
-        out.append(verdicts[start:start + len(d.pairs)])
-        start += len(d.pairs)
-    return out
+    if spec.order == "rh":
+        positive = stack.cdf(xs) > 0.0
+        keep = [positive[a] & positive[b] for a, b, _ in rows]
+    verdicts = iter(certify_rows(spec.order, [values[a] for a, _, _ in rows],
+                                 [values[b] for _, b, _ in rows], [g for _, _, g in rows],
+                                 tolerance=scenario.tolerance, keep=keep))
+    return [[next(verdicts) for _ in d.pairs] for d in draws]
 
 
-def _curve(plan: _Plan, draw: _Draw, xs: np.ndarray, last: OrderVerdict) -> CurveSample:
+def _curve(draw: _Draw, xs: np.ndarray, last: OrderVerdict) -> Curve:
     """The exported curve of the first instance: copies of the curve of its
     last verdict, which compares its first and last system."""
     if draw.curve is not None:
         return draw.curve(xs.copy())
     curve = last.curve
-    return CurveSample(curve.x.copy(), curve.lhs.copy(), curve.rhs.copy(), curve.diff.copy(),
-                       *_CURVE_LABELS[plan.order])
+    return Curve(curve.x.copy(), curve.lhs.copy(), curve.rhs.copy(), curve.diff.copy())
 
 
 def _run(scenario: TheoremScenario, disabled: str | None) -> BenchReport:
-    plan = _PLANS[scenario.scenario_id]
+    spec = _SCENARIOS[scenario.scenario_id]
     # 1. draw every instance, each from its own seeded generator
-    draws = [_draw(scenario, _instance_rng(scenario.seed, index), index, disabled)
+    draws = [spec.draw(scenario, _instance_rng(scenario.seed, index), index, disabled)
              for index in range(scenario.count)]
     # 2. one row-wise tail search per component count sets every grid end
-    x_max = _grid_ends(plan, draws)
+    groups = _by_width(draws)
+    x_max = _grid_ends(spec, draws, groups)
     # 3. certify blocks of systems on their grid rows
     outcomes: list = [None] * scenario.count
     curve = None
-    for block in _blocks(draws, max(1, _SLAB_CELLS // scenario.grid_count)):
-        grids = grid_points(x_max[block], scenario.grid_count, span_decades=plan.span_decades)
-        certified = _certify_block(scenario, plan, [draws[k] for k in block], grids)
+    for block in _blocks(draws, groups, max(1, _SLAB_CELLS // scenario.grid_count)):
+        grids = grid_points(x_max[block], scenario.grid_count, span_decades=spec.span_decades)
+        certified = _certify_block(scenario, spec, [draws[k] for k in block], grids)
         for k, xs, verdicts in zip(block, grids, certified):
             ok, detail = draws[k].judge(verdicts, xs)
             # the worst verdict's figures only: its curve holds slab rows
             worst = min(verdicts, key=lambda v: v.margin)
             outcomes[k] = (ok, detail, worst.margin, worst.witness_x)
             if k == 0:
-                curve = _curve(plan, draws[0], xs, verdicts[-1])
+                curve = _curve(draws[0], xs, verdicts[-1])
 
     failures = tuple(
         InstanceFailure(index=index, detail=detail, margin=margin, witness_x=witness_x)
         for index, (ok, detail, margin, witness_x) in enumerate(outcomes) if not ok)
     return BenchReport(
         scenario_id=scenario.scenario_id,
-        claim=_CLAIMS[scenario.scenario_id],
+        claim=spec.claim,
         count=scenario.count,
         seed=scenario.seed,
         grid_count=scenario.grid_count,
@@ -567,7 +538,7 @@ def counterexample_probe(scenario: TheoremScenario, violated_hypothesis: str | N
     """
     if violated_hypothesis in (None, "none"):
         return _run(scenario, None)
-    allowed = _HYPOTHESES[scenario.scenario_id]
+    allowed = _SCENARIOS[scenario.scenario_id].hypotheses
     if violated_hypothesis not in allowed:
         raise ValueError(
             f"hypothesis {violated_hypothesis!r} does not apply to {scenario.scenario_id}; "

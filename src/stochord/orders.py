@@ -33,7 +33,8 @@ from .models import _TAIL, _support_upper
 ORDERS = ("st", "hr", "rh", "lr")
 # how each order is judged, as OrderVerdict.method reports it
 _METHODS = {"st": "sf-pointwise", "hr": "hazard", "rh": "reversed-hazard", "lr": "log-pdf-ratio"}
-_POINTWISE = ("st", "hr", "rh")
+# what the pointwise orders compare, as the system evaluator that gives it
+_QUANTITY = {"st": "sf", "hr": "hazard", "rh": "reversed_hazard"}
 
 _MIN_GRID = 16
 _DEFAULT_COUNT = 2048
@@ -223,8 +224,8 @@ def certify_rows(order: str, f_values, g_values, points, tolerance: float | None
     truncates that row's verdict. Row r's verdict, curve included, is the
     one certify_st, certify_hr or certify_rh reaches on that row's grid.
     """
-    if order not in _POINTWISE:
-        raise ValueError(f"row certification covers {_POINTWISE}, got {order!r}")
+    if order not in _QUANTITY:
+        raise ValueError(f"row certification covers {tuple(_QUANTITY)}, got {order!r}")
     return [_pointwise(order, f, g, xs, tolerance, None if keep is None else keep[r])
             for r, (f, g, xs) in enumerate(zip(f_values, g_values, points))]
 

@@ -129,7 +129,7 @@ class TestInputChecks:
         (("verify-theorem", "T3.1", "--grid", "8"), "--grid must be at least 16, got 8"),
         (("verify-theorem", "T3.1", "--count", "0"), "--count must be at least 1, got 0"),
         (("sample", "--family", "gm", "--alpha", "1", "--beta", "1", "--lambda", "1",
-          "--n", "0"), "--count must be at least 1, got 0"),
+          "--n", "0"), "--n must be at least 1, got 0"),
     ])
     def test_exit_2_with_the_exact_message(self, capsys, tmp_path, argv, message):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
@@ -158,7 +158,7 @@ class TestVerifyTheorem:
     def test_unknown_id_lists_known_ones(self, capsys):
         code, _, err = run(capsys, "verify-theorem", "T9.9", "--count", "1")
         assert code == 2
-        assert "unknown theorem id" in err and "T4.5" in err
+        assert "unknown scenario id" in err and "T4.5" in err
 
 
 class TestMajorize:
