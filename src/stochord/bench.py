@@ -53,7 +53,7 @@ A scenario runs as one batch, in three phases:
    tail search per component count: each row is one draw, and its
    survival is the pointwise maximum of the sf of its tail systems (both
    ends of a chain, both systems of a pair, the first system of T4.4),
-   evaluated on one stack of (S, n) parameter arrays. For nonincreasing
+   evaluated on one stack of (S, 3, n) parameter arrays. For nonincreasing
    survivals that search ends exactly at the largest of the systems' own
    tail points.
 3. Build the grids and certify: draws of one component count are taken
@@ -77,9 +77,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .majorization import TTransform, _apply_columns, generate_hypothesis_pair
-from .models import _TAIL, ComponentStack, GompertzMakeham, WeibullG, _support_upper
-from .orders import (_DEFAULT_COUNT, _QUANTITY, _SPAN_DECADES, Curve, OrderVerdict, certify_rows,
-                     grid_points)
+from .models import _TAIL, EXPONENTIAL_STANDARD, GompertzMakeham, WeibullG, _support_upper
+from .montecarlo import _stream
+from .orders import (_DEFAULT_COUNT, _MIN_GRID, _QUANTITY, _SPAN_DECADES, Curve, OrderVerdict,
+                     certify_rows, grid_points)
 # the single-pair certifiers stay in this namespace, where perfbench's tracer
 # and its self-tests look them up
 from .orders import certify_hr, certify_rh, certify_st  # noqa: F401
@@ -116,6 +117,8 @@ class TheoremScenario:
                              f"known ids: {', '.join(SCENARIO_IDS)}")
         if self.count < 1:
             raise ValueError("count must be at least 1")
+        if self.grid_count < _MIN_GRID:
+            raise ValueError(f"grid_count must be at least {_MIN_GRID}, got {self.grid_count}")
 
 
 @dataclass(frozen=True)
@@ -168,10 +171,6 @@ class BenchReport:
         return lines
 
 
-def _instance_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((int(seed), int(index))))
-
-
 def _params(first, second, third) -> np.ndarray:
     """(3, n) parameter rows in the family's declaration order: Weibull-G
     (alpha; beta; gamma), Gompertz-Makeham (alpha; beta; lambda). Each row
@@ -184,7 +183,7 @@ def _params(first, second, third) -> np.ndarray:
 def _stack(family: type, structure: str, params: list[np.ndarray]) -> SystemStack:
     """The systems with these (3, n) parameter rows, stacked in order."""
     rows = np.stack(params)
-    return SystemStack(structure, [ComponentStack(family, tuple(rows[:, p, :] for p in range(3)))])
+    return SystemStack(structure, [(family, EXPONENTIAL_STANDARD)] * rows.shape[2], rows)
 
 
 class _Draw(NamedTuple):
@@ -486,7 +485,7 @@ def _curve(draw: _Draw, xs: np.ndarray, last: OrderVerdict) -> Curve:
 def _run(scenario: TheoremScenario, disabled: str | None) -> BenchReport:
     spec = _SCENARIOS[scenario.scenario_id]
     # 1. draw every instance, each from its own seeded generator
-    draws = [spec.draw(scenario, _instance_rng(scenario.seed, index), index, disabled)
+    draws = [spec.draw(scenario, _stream(scenario.seed, index), index, disabled)
              for index in range(scenario.count)]
     # 2. one row-wise tail search per component count sets every grid end
     groups = _by_width(draws)

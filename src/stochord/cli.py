@@ -40,7 +40,7 @@ from .majorization import (
 )
 from .models import GompertzMakeham, WeibullG
 from .montecarlo import ks_distance, sample, sample_system
-from .orders import _DEFAULT_COUNT, ORDERS, Curve, Grid, certify
+from .orders import _DEFAULT_COUNT, _MIN_GRID, ORDERS, Curve, Grid, certify
 from .systems import STRUCTURES, SystemSpec
 
 _FAMILY_ALIASES = {
@@ -58,8 +58,8 @@ _FAMILY_PARAMS = {
 def _check(grid: int | None = None, x_max: float | None = None,
            count: int | None = None, count_flag: str = "--count") -> None:
     """The numeric input checks; each command runs them before its work."""
-    if grid is not None and grid < 16:
-        raise ConfigError(f"--grid must be at least 16, got {grid}")
+    if grid is not None and grid < _MIN_GRID:
+        raise ConfigError(f"--grid must be at least {_MIN_GRID}, got {grid}")
     if x_max is not None and not x_max > 0.0:
         raise ConfigError(f"--xmax must be positive, got {x_max}")
     if count is not None and count < 1:
@@ -133,9 +133,13 @@ def _positive_number(obj: dict, key: str, path: str, where: str) -> float:
     value = obj[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path}: {where}.{key}: expected a number")
-    if not value > 0.0 or not np.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = np.inf
+    if not number > 0.0 or not np.isfinite(number):
         raise ConfigError(f"{path}: {where}.{key}: must be positive and finite")
-    return float(value)
+    return number
 
 
 def _model(family: str, values) -> WeibullG | GompertzMakeham:

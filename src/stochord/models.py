@@ -33,9 +33,7 @@ Each family's cumulative hazard and hazard are written once, as
 broadcasting kernels (``wg_cumulative_hazard``, ``wg_hazard``,
 ``gm_cumulative_hazard``, ``gm_hazard``); every other quantity derives
 from those two (``survival``, ``distribution``, ``log1mexp``,
-``density``). The model methods call the kernels with float parameters,
-and ``ComponentStack`` calls them with (S, 1) parameter columns to
-evaluate one component of S systems at once.
+``density``).
 """
 
 from __future__ import annotations
@@ -142,9 +140,10 @@ def density(chf: np.ndarray, hazard: np.ndarray) -> np.ndarray:
 
 
 # Broadcasting kernels. Points and parameters broadcast against each other:
-# the methods pass float parameters, a ComponentStack passes (S, 1) columns
-# against (S, m) points. Both evaluate the same expression elementwise, so
-# every row of a batch is bit-identical to the single evaluation.
+# the methods pass float parameters, a stack of S systems passes (S, 1)
+# columns against (S, m) points. Both evaluate the same expression
+# elementwise, so every row of a batch is bit-identical to the single
+# evaluation.
 
 
 def wg_cumulative_hazard(x, alpha, beta, gamma, baseline: Baseline) -> np.ndarray:
@@ -407,45 +406,6 @@ def _family(family: type) -> tuple:
         return _FAMILIES[family]
     except KeyError:
         raise TypeError(f"no stacked evaluation for {family.__name__} components") from None
-
-
-class ComponentStack:
-    """k components of one family and baseline in each of S systems.
-
-    ``params`` holds the family's parameters in declaration order
-    (alpha, beta, gamma for Weibull-G; alpha, beta, lam for
-    Gompertz-Makeham) as (S, k) arrays: row s is system s, column i its
-    i-th component of this stack. The evaluators take (S, m) points, row s
-    for system s, and return one column's values as an (S, m) array; a
-    stack of one system takes points of any shape.
-    """
-
-    def __init__(self, family: type, params: tuple[np.ndarray, ...],
-                 baseline: Baseline = EXPONENTIAL_STANDARD):
-        _, self._chf, self._hazard = _family(family)
-        self.family = family
-        self.baseline = baseline
-        extra = (baseline,) if family is WeibullG else ()
-        arrays = [np.asarray(p, dtype=float) for p in params]
-        self.width = arrays[0].shape[1]
-        # one system evaluates with float parameters, as the model methods do
-        column = (lambda a, i: float(a[0, i])) if arrays[0].shape[0] == 1 else \
-            (lambda a, i: np.ascontiguousarray(a[:, i:i + 1]))
-        self._columns = [tuple(column(a, i) for a in arrays) + extra for i in range(self.width)]
-
-    @classmethod
-    def of(cls, rows) -> "ComponentStack":
-        """Stack S equally long rows of models that share one family and baseline."""
-        first = rows[0][0]
-        params = tuple(np.array([[getattr(c, name) for c in row] for row in rows], dtype=float)
-                       for name in _family(type(first))[0])
-        return cls(type(first), params, getattr(first, "baseline", EXPONENTIAL_STANDARD))
-
-    def cumulative_hazard(self, x: np.ndarray, i: int) -> np.ndarray:
-        return self._chf(x, *self._columns[i])
-
-    def hazard(self, x: np.ndarray, i: int) -> np.ndarray:
-        return self._hazard(x, *self._columns[i])
 
 
 def _validate_unit_open(u: np.ndarray) -> None:

@@ -19,6 +19,8 @@ _U_HI = float(np.nextafter(1.0, 0.0))
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
+    """The generator of stream ``index`` under ``seed``; bench instance k
+    draws from stream k too."""
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(index))))
 
 

@@ -13,9 +13,10 @@ exp(sum of log cdfs), which keeps deep-tail evaluations stable; the log
 cdfs come from log1mexp, so the parallel sf keeps its relative precision
 deep in the upper tail too.
 
-``SystemStack`` evaluates S systems with the same component layout at
-once on (S, m) points, one component at a time; ``SystemSpec`` evaluates
-a single system as a stack of one, so the two agree bit for bit.
+``SystemStack`` evaluates S systems with the same component kinds at
+once on (S, m) points, one component at a time, from one (S, 3, n)
+parameter array; ``SystemSpec`` evaluates a single system as a stack of
+one, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import EvaluationDomainError
 from .models import (
     EXPONENTIAL_STANDARD,
     _EXP_ARG_MAX,
-    ComponentStack,
     WeibullG,
     _as_array,
     _Derived,
@@ -46,50 +46,46 @@ from .models import (
 STRUCTURES = ("series", "parallel")
 
 
-def _run_key(component) -> tuple:
-    return type(component), getattr(component, "baseline", EXPONENTIAL_STANDARD)
-
-
 class SystemStack:
     """S systems of one structure, evaluated together on (S, m) points.
 
-    The components are held as consecutive runs of one family and baseline,
-    a ComponentStack each; component i of every system sits at the same
-    place in the same run. Row s of the points and of every result belongs
-    to system s. Each evaluator sums the components one at a time, in
-    order, over (S, m) arrays, so row s is bit-identical to evaluating
-    system s alone. Where a reversed hazard is undefined (a cdf of zero)
-    it is NaN.
+    ``kinds`` gives each of the n components its (family, baseline), the
+    same in every system; the baseline is read for Weibull-G only.
+    ``params`` is an (S, 3, n) array: ``params[s, :, i]`` holds component i
+    of system s in its family's declaration order (alpha, beta, gamma for
+    Weibull-G; alpha, beta, lam for Gompertz-Makeham). Each component is
+    one column: its family's two kernels and their arguments. Row s of the
+    points and of every result belongs to system s. Each evaluator sums
+    the columns one at a time, in order, over (S, m) arrays, so row s is
+    bit-identical to evaluating system s alone. Where a reversed hazard is
+    undefined (a cdf of zero) it is NaN.
+
+    A stack of one system passes its kernels float parameters, as the
+    model methods do, and takes points of any shape: with (1, 1) columns
+    ``models._power`` takes its column path, which is slower for the
+    single systems that ``compare`` evaluates.
     """
 
-    def __init__(self, structure: str, runs: Sequence[ComponentStack]):
+    def __init__(self, structure: str, kinds: Sequence[tuple], params: np.ndarray):
         if structure not in STRUCTURES:
             raise ValueError(f"structure must be one of {STRUCTURES}, got {structure!r}")
         self.structure = structure
-        self._columns = [(run, i) for run in runs for i in range(run.width)]
-
-    @classmethod
-    def of(cls, systems: Sequence["SystemSpec"]) -> "SystemStack":
-        """Stack systems of one structure whose components line up by family and baseline."""
-        first = systems[0]
-        keys = [_run_key(c) for c in first.components]
-        for system in systems[1:]:
-            if system.structure != first.structure or \
-                    [_run_key(c) for c in system.components] != keys:
-                raise ValueError("stacked systems need one structure and matching components")
-        runs, start = [], 0
-        for k in range(1, len(keys) + 1):
-            if k == len(keys) or keys[k] != keys[start]:
-                runs.append(ComponentStack.of([s.components[start:k] for s in systems]))
-                start = k
-        return cls(first.structure, runs)
+        params = np.asarray(params, dtype=float)
+        self._columns = []
+        for i, (family, baseline) in enumerate(kinds):
+            _, chf, hazard = _family(family)
+            if params.shape[0] == 1:
+                args = tuple(float(v) for v in params[0, :, i])
+            else:
+                args = tuple(np.ascontiguousarray(params[:, p, i:i + 1]) for p in range(3))
+            self._columns.append((chf, hazard, args + ((baseline,) if family is WeibullG else ())))
 
     def _chfs(self, x: np.ndarray):
-        return (run.cumulative_hazard(x, i) for run, i in self._columns)
+        return (chf(x, *args) for chf, _, args in self._columns)
 
     def _parts(self, x: np.ndarray):
         """(cumulative hazard, hazard) of each component in turn."""
-        return ((run.cumulative_hazard(x, i), run.hazard(x, i)) for run, i in self._columns)
+        return ((chf(x, *args), hazard(x, *args)) for chf, hazard, args in self._columns)
 
     def _total(self, chfs) -> np.ndarray:
         """Series: the summed cumulative hazards. Parallel: the summed log cdfs."""
@@ -127,7 +123,7 @@ class SystemStack:
     def hazard(self, x: np.ndarray) -> np.ndarray:
         """Series: the component hazard sum. Parallel: pdf over sf."""
         if self.structure == "series":
-            return sum(run.hazard(x, i) for run, i in self._columns)
+            return sum(hazard(x, *args) for _, hazard, args in self._columns)
         # the density needs every component at once; the sf reuses them
         parts = list(self._parts(x))
         sf = self._sf(chf for chf, _ in parts)
@@ -183,7 +179,9 @@ class SystemSpec:
 
     @cached_property
     def _stack(self) -> SystemStack:
-        return SystemStack.of([self])
+        kinds = [(type(c), getattr(c, "baseline", EXPONENTIAL_STANDARD)) for c in self.components]
+        params = [[getattr(c, name) for name in _family(type(c))[0]] for c in self.components]
+        return SystemStack(self.structure, kinds, np.transpose(params)[None])
 
     @property
     def n(self) -> int:

@@ -17,7 +17,8 @@ from stochord import (
     counterexample_probe,
     run_scenario,
 )
-from stochord.bench import _SCENARIOS, _instance_rng
+from stochord.bench import _SCENARIOS
+from stochord.montecarlo import _stream
 
 
 class TestScenarioBatches:
@@ -49,6 +50,9 @@ class TestScenarioBatches:
             TheoremScenario("T9.9")
         with pytest.raises(ValueError):
             TheoremScenario("T3.1", count=0)
+        for grid_count in (0, 1, 15):
+            with pytest.raises(ValueError, match="grid_count must be at least 16"):
+                TheoremScenario("T3.1", grid_count=grid_count)
 
 
 # (passed, repr(worst_margin)) for every scenario at count 40, seed 0
@@ -172,7 +176,7 @@ class TestMatchesSinglePair:
     def test_exported_curve_is_the_single_pair_verdicts(self, scenario_id, seed):
         scenario = TheoremScenario(scenario_id, count=6, seed=seed)
         spec = _SCENARIOS[scenario_id]
-        draw = spec.draw(scenario, _instance_rng(seed, 0), 0, None)
+        draw = spec.draw(scenario, _stream(seed, 0), 0, None)
         systems = [SystemSpec(tuple(spec.family(*map(float, column)) for column in params.T),
                               spec.structure) for params in draw.systems]
         grid = Grid.for_models(*(systems[i] for i in draw.tail), count=scenario.grid_count,

@@ -115,6 +115,14 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "--config", str(cfg))
         assert code == 2 and "--order" in err
 
+    def test_integer_beyond_float_range_exits_2(self, capsys, tmp_path):
+        doc = json.load(open(EXAMPLE1))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc).replace('"alpha": 4.8', '"alpha": 1' + "0" * 400, 1))
+        code, out, err = run(capsys, "compare", "--config", str(cfg), "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}: first.components[0].alpha: must be positive and finite\n"
+
     def test_grid_too_small(self, capsys):
         code, _, err = run(capsys, "compare", "--config", EXAMPLE1, "--grid", "8")
         assert code == 2 and "--grid" in err
@@ -238,6 +246,14 @@ class TestSample:
         assert "model: parallel[" in out
         ks = float(out.split("ks: ")[1].split()[0])
         assert ks < 0.05
+
+    def test_integer_beyond_float_range_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "system.json"
+        cfg.write_text(open(SYSTEM).read().replace('"alpha": 4.8', '"alpha": 1' + "0" * 400, 1))
+        code, out, err = run(capsys, "sample", "--config", str(cfg), "--n", "10",
+                             "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}: top level.components[0].alpha: must be positive and finite\n"
 
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, "sample", "--family", "wg", "--alpha", "1",

@@ -4,8 +4,9 @@ perfbench's tracer wraps each evaluator it finds in a class's own
 ``__dict__``, so every evaluator must be assigned in the class namespace,
 not inherited; the first test fails as soon as one is not. The golden
 sha256 digests pin the floats every model evaluator returns, on scalars
-and on arrays, and the tail points of models and systems, so moving an
-evaluator cannot change a bit of its output.
+and on arrays, the tail points of models and systems, and every evaluator
+of a system that mixes baselines and families, so moving an evaluator
+cannot change a bit of its output.
 """
 
 import hashlib
@@ -13,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from stochord import Baseline, GompertzMakeham, SystemSpec, WeibullG
+from stochord import EXPONENTIAL_STANDARD, Baseline, GompertzMakeham, SystemSpec, WeibullG
 
 MODEL_EVALUATORS = ("sf", "cdf", "log_cdf", "pdf", "hazard", "reversed_hazard",
                     "cumulative_hazard", "quantile", "support_upper")
@@ -39,6 +40,9 @@ MODELS = {
 SYSTEMS = {
     "series": SystemSpec((MODELS["wg"], MODELS["gm"], WeibullG(2.0, 3.0, 0.5)), "series"),
     "parallel": SystemSpec((MODELS["wg"], MODELS["gm"], WeibullG(2.0, 3.0, 0.5)), "parallel"),
+    # one family under two baselines, then another family
+    "mixed-baseline": SystemSpec((WeibullG(1.5, 2.0, 0.8, baseline=EXPONENTIAL_STANDARD),
+                                  MODELS["wg-user"], MODELS["gm"]), "series"),
 }
 # points from where the cdf is tiny to where the survival underflows
 XS = np.geomspace(1e-3, 12.0, 257)
@@ -110,6 +114,16 @@ TAIL_GOLDEN = {
     "gm": "95c9db1deea4973901416a084a95bc1c5ab545a010a1e6832128b89f4010259a",
     "series": "8b9591b5f2c02105097e382fa0d67b5669e6f729956bd5fbb5048c15524d2a00",
     "parallel": "04acaacd099638092ae62a92f4cd93336db9d5130b6bc48a1023ff49f2872ff0",
+    "mixed-baseline": "1f6a671b04a785d4cb723399b1769982303596ca79cccb86efbd5d9b069b5c4f",
+}
+# taken while a system's components were grouped into runs of one family
+# and baseline, so a baseline change inside a system keeps every bit
+SYSTEM_GOLDEN = {
+    "mixed-baseline:sf": "9b688eb31f4370da9bf36546970c30d46c20719006cb327f8099f38450165ddf",
+    "mixed-baseline:cdf": "ee9ab4f6aedf440c3afcbbc161d21bebd380912f3786e40f1a5d8579e44d0b5f",
+    "mixed-baseline:hazard": "4a3405c991e442a95901a30ca51bb9301fb45a6d97c2f983490133baf8b87c39",
+    "mixed-baseline:reversed_hazard": "41c433d19009d7638eded609759195acacf3a194828f24eaeda555030fce0e12",
+    "mixed-baseline:pdf": "ac11dc670e7d78af893daa42f6b3407b0417049edfdbf404bfcab94e8d090fe7",
 }
 
 
@@ -123,3 +137,9 @@ def test_model_evaluators_are_pinned(key):
 def test_tail_points_are_pinned(key):
     dist = MODELS.get(key) or SYSTEMS[key]
     assert _tail_digest(dist) == TAIL_GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(SYSTEM_GOLDEN))
+def test_system_evaluators_are_pinned(key):
+    system, name = key.split(":")
+    assert _evaluator_digest(SYSTEMS[system], name) == SYSTEM_GOLDEN[key]

@@ -19,7 +19,7 @@ from stochord import (
     lambda_aggregate_sf,
     parallel_reversed_hazard_factored,
 )
-from stochord.models import ComponentStack, _support_upper
+from stochord.models import _FAMILIES, EXPONENTIAL_STANDARD, _support_upper
 from stochord.systems import SystemStack
 
 WG_SOURCE = SystemSpec(
@@ -293,6 +293,16 @@ def _batches(draw, structures=("series", "parallel")):
             for _ in range(count)]
 
 
+def _stack(systems):
+    """The systems as one SystemStack: the first system's component kinds and
+    every system's parameters as an (S, 3, n) array."""
+    kinds = [(type(c), getattr(c, "baseline", EXPONENTIAL_STANDARD))
+             for c in systems[0].components]
+    params = [[[getattr(c, name) for name in _FAMILIES[type(c)][0]] for c in s.components]
+              for s in systems]
+    return SystemStack(systems[0].structure, kinds, np.transpose(params, (0, 2, 1)))
+
+
 class TestBatchedEvaluation:
     # every row of a stacked evaluation equals the per-component loop on
     # that row's system, bit for bit
@@ -300,7 +310,7 @@ class TestBatchedEvaluation:
     @settings(max_examples=150, deadline=None)
     def test_rows_match_the_component_loop(self, systems, xs, spread):
         points = np.array(xs) * np.geomspace(1.0, spread, len(systems))[:, None]
-        stack = SystemStack.of(systems)
+        stack = _stack(systems)
         if systems[0].structure == "series":
             checks = [(stack.sf, _loop_series_sf), (stack.hazard, _loop_series_hazard)]
         else:
@@ -314,20 +324,11 @@ class TestBatchedEvaluation:
     @settings(max_examples=100, deadline=None)
     def test_rows_match_the_single_system(self, systems, xs):
         points = np.tile(np.array(xs), (len(systems), 1))
-        stack = SystemStack.of(systems)
+        stack = _stack(systems)
         for name in ("sf", "cdf", "hazard", "pdf"):
             rows = getattr(stack, name)(points)
             for system, row in zip(systems, rows):
                 assert np.array_equal(row, getattr(system, name)(points[0])), name
-
-    def test_mismatched_systems_are_rejected(self):
-        wg, gm = WeibullG(1.0, 2.0, 1.0), GompertzMakeham(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            SystemStack.of([SystemSpec((wg,), "series"), SystemSpec((gm,), "series")])
-        with pytest.raises(ValueError):
-            SystemStack.of([SystemSpec((wg,), "series"), SystemSpec((wg,), "parallel")])
-        with pytest.raises(ValueError):
-            SystemStack.of([SystemSpec((wg,), "series"), SystemSpec((wg, wg), "series")])
 
     def test_mixed_family_system_keeps_component_order(self):
         parts = (WeibullG(1.5, 2.0, 0.8), GompertzMakeham(0.7, 1.1, 0.3), WeibullG(0.4, 3.0, 1.2))
@@ -338,14 +339,14 @@ class TestBatchedEvaluation:
 
     def test_component_stack_needs_a_known_family(self):
         with pytest.raises(TypeError):
-            ComponentStack(object, (np.ones((1, 1)),) * 3)
+            SystemStack("series", [(object, EXPONENTIAL_STANDARD)], np.ones((1, 3, 1)))
 
 
 class TestBatchedTailSearch:
     @given(_batches(), st.sampled_from([1e-6, 1e-12]))
     @settings(max_examples=150, deadline=None)
     def test_every_row_brackets_and_equals_a_batch_of_one(self, systems, tail):
-        points = _support_upper(SystemStack.of(systems).sf, tail, rows=len(systems))
+        points = _support_upper(_stack(systems).sf, tail, rows=len(systems))
         assert points.shape == (len(systems),)
         for system, x in zip(systems, points):
             assert system.sf(x) <= tail < system.sf(np.nextafter(x, 0.0))
