@@ -223,7 +223,9 @@ def _draw_hr_chain(
 ) -> _Draw:
     # instance 0 of a 2 x 2 single-transform claim replays the worked example
     if index == 0 and disabled is None and n_range == (2, 2) and k_range == (1, 1):
-        source, transforms = EXAMPLE_MATRIX, (EXAMPLE_TRANSFORM,)
+        # the source matrix and its transform are valid parameter matrices,
+        # so the transform skips apply_t_transform's checks
+        mats = (EXAMPLE_MATRIX, _apply_columns(EXAMPLE_MATRIX, EXAMPLE_TRANSFORM))
         shared = EXAMPLE_WG_BETA if family is WeibullG else EXAMPLE_GM_LAM
         sweep = family is GompertzMakeham
     else:
@@ -233,14 +235,11 @@ def _draw_hr_chain(
             shared = float(rng.uniform(lo, hi))
         else:
             shared = float(rng.uniform(0.1, 10.0))
-        pair = generate_hypothesis_pair(n, "chain", rng=rng, min_transforms=k_range[0],
-                                        max_transforms=k_range[1], anti_ordered=disabled == "pn")
-        source, transforms, sweep = pair.b, pair.transforms, False
-    # the source matrix and each partially transformed one, in order; all are
-    # valid parameter matrices, so the replay skips apply_t_transform's checks
-    mats = [source]
-    for t in transforms:
-        mats.append(_apply_columns(mats[-1], t))
+        # the source matrix and each partially transformed one, in order
+        mats = generate_hypothesis_pair(n, "chain", rng=rng, min_transforms=k_range[0],
+                                        max_transforms=k_range[1],
+                                        anti_ordered=disabled == "pn").steps
+        sweep = False
 
     if family is WeibullG:
         systems = [_params(m[0], shared, m[1]) for m in mats]

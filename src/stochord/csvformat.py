@@ -23,11 +23,18 @@ decision within ``_GUARD`` of an interval end or of a tie goes to
 [1e-280, 1e280] (which covers subnormals and keeps the two-product clear
 of overflow).
 
-Fields are laid out without per-value Python. Each field gets a 32-byte
-slot: its digits zero-padded and right-aligned in 24 bytes (eight per
-uint64 word), then a word with the exponent and the separator. The
-output bytes are gathered from the slots, in row order, and a slot of
-constant pieces by ``take``.
+Fields are laid out without per-value Python, in cells of uint64 words
+where every piece has a fixed place and the bytes a field does not use
+are NUL. A float field's cell is four words: its text right-aligned in
+the first three, with the sign at byte 0, then a word with the exponent
+and the separator. The text comes from one SWAR pass over the digits
+with a zero digit put in where the dot goes (an integer's trailing
+zeros and its closing ``0`` count as digits), ORed with a table row
+that makes ASCII of the digits from the first one on and a dot of that
+zero. A value that falls back to ``repr`` has that text in the first
+three words instead. With row numbers, each row starts with one more
+cell: the number's digits and a comma. Dropping every NUL byte of a
+chunk's cells at once leaves its CSV text.
 """
 
 from __future__ import annotations
@@ -47,22 +54,15 @@ _K_MIN, _K_MAX = -265, 297
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 
-# A field's slot: 24 bytes of zero-padded, right-aligned digits, with the
-# minus sign just before them, and an 8-byte word with the exponent and
-# the separator (a value that falls back to repr has its text in the
-# first 24 bytes instead). A field is gathered in three segments: the
-# head, a middle piece from the constant slot, and its slot from the
-# digits after the middle piece through the separator.
-_SLOT = 32
-_DIGITS_END = 24
-_SEGMENTS = 3
-_TAKE_STEP = 1 << 15
-
-# The constant slot, first in every chunk's gather source.
-_CONST = np.frombuffer((b"-0." + b"0" * 15 + b".0").ljust(_SLOT, b"\0"), dtype="<u8")
-_NEG_LEAD = 0  # "-0.": a value below one, with or without its sign
-_DOT = 2
-_TRAIL_END = 20  # end of "000000000000000.0": zeros then ".0" after an integer
+# A float field's cell: its text in three words, NUL-padded, then a word
+# with the exponent and the separator.
+_TEXT = 24
+_LENGTH = 22  # the longest unsigned text: "0.000" and 17 digits
+_FRAC = 20  # the most digits after the dot: "000" and 17 digits
+# In place of values that fall back to repr: its shortest repr has 17
+# digits, as many as any double needs, so it never lengthens the level
+# loop in _shortest.
+_PLACEHOLDER = 0.30000000000000004
 
 
 @cache
@@ -120,7 +120,7 @@ def _shortest(a: np.ndarray):
     be formatted by ``repr``.
     """
     ok = (a >= _FAST_MIN) & (a <= _FAST_MAX) & (a.view(np.int64) & (2**52 - 1) != 0)
-    n, f, u, k = _scaled(np.where(ok, a, 1.5))
+    n, f, u, k = _scaled(np.where(ok, a, _PLACEHOLDER))
     low = f - u
     u += f
     ends = []
@@ -150,48 +150,82 @@ def _shortest(a: np.ndarray):
     return q, nd, nd + level - k, ok
 
 
-def _fill_slots(slots: np.ndarray, q: np.ndarray, xword) -> None:
-    """Write the zero-padded digits of 0 <= q < 1e17 and the exponent
-    word into (m, 4) little-endian uint64 slots."""
-    u = q.astype(np.uint64)
-    v = np.concatenate([(u // np.uint64(10**8)) % np.uint64(10**8),
-                        u % np.uint64(10**8)])
-    # SWAR: split eight digits into 4 + 4, 2 + 2 and 1 + 1 within lanes of
-    # 32, 16 and 8 bits; the leading digit lands in the lowest byte.
-    hi4 = v // np.uint64(10000)
-    v = hi4 | ((v - hi4 * np.uint64(10000)) << np.uint64(32))
-    hi2 = ((v * np.uint64(5243)) >> np.uint64(19)) & np.uint64(0x0000007F0000007F)
-    v = hi2 | ((v - hi2 * np.uint64(100)) << np.uint64(16))
-    hi1 = ((v * np.uint64(103)) >> np.uint64(10)) & np.uint64(0x000F000F000F000F)
-    v = hi1 | ((v - hi1 * np.uint64(10)) << np.uint64(8))
-    v |= np.uint64(0x3030303030303030)
-    slots[:, 0] = (u // np.uint64(10**16) << np.uint64(56)) | np.uint64(0x3030303030303030)
-    slots[:, 1] = v[:u.size]
-    slots[:, 2] = v[u.size:]
-    slots[:, 3] = xword
+def _digit_bytes(v: np.ndarray) -> None:
+    """Replace each uint64 0 <= v < 1e8, in place, by its eight decimal
+    digits as byte values 0-9, the leading digit in the lowest byte."""
+    # SWAR: split into 4 + 4, 2 + 2 and 1 + 1 digits within lanes of 32,
+    # 16 and 8 bits
+    hi = v // np.uint64(10000)
+    v -= hi * np.uint64(10000)
+    v <<= np.uint64(32)
+    v |= hi
+    for mul, shift, mask, base, lane in ((5243, 19, 0x0000007F0000007F, 100, 16),
+                                         (103, 10, 0x000F000F000F000F, 10, 8)):
+        np.multiply(v, np.uint64(mul), out=hi)
+        hi >>= np.uint64(shift)
+        hi &= np.uint64(mask)
+        v -= hi * np.uint64(base)
+        v <<= np.uint64(lane)
+        v |= hi
 
 
-def _float_fields(values: np.ndarray, seps: np.ndarray, slots: np.ndarray, base: int):
-    """Fill the slots of a run of float fields, placed at byte ``base`` of
-    the gather source, and return their (fields, _SEGMENTS) segment starts
-    and lengths; the separator bytes ``seps`` follow the fields in turn,
-    repeating, so row-major rows of ``seps.size`` fields take one pass."""
-    finite = np.isfinite(values)
-    q, nd, decpt, ok = _shortest(np.where(finite, np.abs(values), 1.5))
-    ok &= finite
-    neg = np.signbit(values)
-    expo = ok & ((decpt < -3) | (decpt > 16))
-    lead = ~expo & (decpt <= 0)
+@cache
+def _float_text() -> np.ndarray:
+    """The text around a float field's digits, as rows of three uint64
+    words indexed by ``(neg * (_LENGTH + 1) + length) * (_FRAC + 1) + frac``:
+    the sign at byte 0, ASCII zero bits on the last ``length`` bytes and
+    a dot ``frac`` bytes before the end when ``frac`` is positive. Row 0
+    is blank."""
+    pos = np.arange(_TEXT)
+    neg = np.arange(2)[:, None, None, None]
+    length = np.arange(_LENGTH + 1)[:, None, None]
+    frac = np.arange(_FRAC + 1)[:, None]
+    text = np.where(pos >= _TEXT - length, ord("0"), 0)
+    text = np.where((frac > 0) & (pos == _TEXT - 1 - frac), ord("."), text)
+    text = np.where(pos == 0, neg * ord("-"), text)
+    return text.astype(np.uint8).reshape(-1, _TEXT).view("<u8")
+
+
+@cache
+def _index_text(width: int) -> np.ndarray:
+    """The text around the digits of a ``width``-word index cell, indexed
+    by digit count - 1: ASCII zero bits on the digits, then a comma."""
+    pos = np.arange(8 * width)
+    nd = np.arange(1, 8 * width)[:, None]
+    text = np.where((pos >= 8 * width - 1 - nd) & (pos < 8 * width - 1), ord("0"), 0)
+    text[:, -1] = ord(",")
+    return text.astype(np.uint8).view("<u8")
+
+
+def _float_cells(values: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """The (fields, 4) cells of float fields, each followed by a separator
+    from ``seps`` in turn, repeating, so row-major rows of ``seps.size``
+    fields take one pass."""
+    q, nd, decpt, ok = _shortest(np.abs(values))
+    expo = (decpt < -3) | (decpt > 16)
     integral = ~expo & (decpt >= nd)
-    # digits after the middle piece: the fraction, or all but the first
-    tail = np.where(integral, 0, nd - decpt)
-    trail = decpt - nd + 2
-    xword = np.empty(values.size, dtype=np.uint64)
-    xword.reshape(-1, seps.size)[:] = seps
-    xlen = np.zeros(values.size, dtype=np.int64)
-    e = np.flatnonzero(expo)
+    # The digits after the dot; an integer's zeros and its closing 0 are
+    # digits of q too. A zero digit goes in where the dot will be.
+    frac = np.where(expo, nd - 1, np.where(integral, 1, nd - decpt))
+    q *= _POW10[np.where(integral, decpt - nd + 1, 0)]
+    power = _POW10[np.minimum(frac, 18)]
+    q += q // power * np.where(frac > 0, 9 * power, 0)
+    length = np.where(expo, 1, np.maximum(decpt, 1)) + frac + (frac > 0)
+    layout = ((np.signbit(values) * (_LENGTH + 1) + length) * (_FRAC + 1) + frac) * ok
+    # eight digits a word, the leading two in the first
+    u = q.astype(np.uint64)
+    words = np.empty((3, values.size), dtype=np.uint64)
+    np.floor_divide(u, np.uint64(10**8), out=words[1])
+    np.subtract(u, words[1] * np.uint64(10**8), out=words[2])
+    np.floor_divide(words[1], np.uint64(10**8), out=words[0])
+    words[1] -= words[0] * np.uint64(10**8)
+    _digit_bytes(words)
+    cells = np.empty((values.size, 4), dtype="<u8")
+    np.bitwise_or(words.T, np.take(_float_text(), layout, axis=0), out=cells[:, :3])
+    cells.reshape(-1, seps.size, 4)[:, :, 3] = seps
+    xword = cells[:, 3]
+    e = np.flatnonzero(expo & ok)
     if e.size:
-        tail[e] = nd[e] - 1
         x = decpt[e] - 1
         ax = np.abs(x).astype(np.uint64)
         three = ax >= np.uint64(100)
@@ -201,50 +235,33 @@ def _float_fields(values: np.ndarray, seps: np.ndarray, slots: np.ndarray, base:
                           ax // np.uint64(10) | (ax % np.uint64(10)) << np.uint64(8))
         digits |= np.where(three, np.uint64(0x303030), np.uint64(0x3030))
         sign = np.where(x < 0, np.uint64(ord("-")), np.uint64(ord("+")))
-        xlen[e] = 4 + three
         xword[e] = (np.uint64(ord("e")) | sign << np.uint64(8) | digits << np.uint64(16)
-                    | xword[e] << (np.uint64(8) * xlen[e].astype(np.uint64)))
-    _fill_slots(slots, np.where(ok, q, 0), xword)
-    text = slots.view(np.uint8)
-    signed = np.flatnonzero(neg & ~lead & ok)
-    text[signed, _DIGITS_END - 1 - nd[signed]] = ord("-")
-    ends = base + _DIGITS_END + _SLOT * np.arange(values.size, dtype=np.int32)
-    src = np.empty((values.size, _SEGMENTS), dtype=np.int32)
-    lens = np.empty_like(src)
-    src[:, 0] = np.where(lead, _NEG_LEAD + 1 - neg, ends - nd - neg)
-    lens[:, 0] = np.where(lead, 2 + neg, nd - tail + neg)
-    src[:, 1] = np.where(integral, _TRAIL_END - trail, _DOT)
-    lens[:, 1] = np.where(integral, trail, ~lead)
-    lens[e, 1] = nd[e] > 1
-    src[:, 2] = ends - tail
-    lens[:, 2] = tail + xlen + 1
+                    | xword[e] << (np.uint64(32) + np.uint64(8) * three))
     slow = np.flatnonzero(~ok)
     if slow.size:
         reprs = [repr(float(v)).encode("ascii") for v in values[slow]]
-        text[slow, :_DIGITS_END] = np.array(reprs, dtype=f"S{_DIGITS_END}").view(
-            np.uint8).reshape(slow.size, _DIGITS_END)
-        src[slow, 0] = ends[slow] - _DIGITS_END
-        lens[slow, 0] = [len(s) for s in reprs]
-        lens[slow, 1] = 0
-        src[slow, 2] = ends[slow]
-        lens[slow, 2] = 1
-    return src, lens
+        cells.view(np.uint8)[slow, :_TEXT] = np.array(reprs, dtype=f"S{_TEXT}").view(
+            np.uint8).reshape(slow.size, _TEXT)
+    return cells
 
 
-def _index_column(first: int, slots: np.ndarray, base: int):
-    """Fill the slots of the row numbers first, first + 1, ..., each
-    followed by a comma, and return their (rows, 1) segment starts and
-    lengths."""
-    count = slots.shape[0]
-    q = np.arange(first, first + count, dtype=np.int64)
-    nd = np.ones(count, dtype=np.int32)
-    for power in _POW10[1:]:
-        if power >= first + count:
-            break
-        nd += q >= power
-    _fill_slots(slots, q, np.uint64(ord(",")))
-    ends = base + _DIGITS_END + _SLOT * np.arange(count, dtype=np.int32)
-    return (ends - nd)[:, None], (nd + 1)[:, None]
+def _index_cells(first: int, count: int) -> np.ndarray:
+    """The cells of the row numbers first, first + 1, ..., each followed
+    by a comma: as many words as the last number's digits and its comma
+    need."""
+    low, high = len(str(first)), len(str(first + count - 1))
+    width = high // 8 + 1
+    nd = np.full(count, low, dtype=np.int64)
+    for digits in range(low, high):
+        nd[10**digits - first:] += 1
+    # eight digits a word, the last word seven and the comma's place
+    q = first + np.arange(count, dtype=np.int64)
+    words = np.empty((width, count), dtype=np.uint64)
+    words[-1] = q % 10**7 * 10
+    for word in range(1, width):
+        words[-1 - word] = q // (10**7 * 10 ** (8 * word - 8)) % 10**8
+    _digit_bytes(words)
+    return words.T | np.take(_index_text(width), nd - 1, axis=0)
 
 
 def _block(columns: list[np.ndarray], first_index: int | None) -> bytes:
@@ -253,36 +270,13 @@ def _block(columns: list[np.ndarray], first_index: int | None) -> bytes:
 
     The float fields are formatted in one pass, row by row."""
     rows = columns[0].size
-    numbered = first_index is not None
-    slots = np.empty((1 + (len(columns) + numbered) * rows, _SLOT // 8), dtype="<u8")
-    slots[0] = _CONST
     seps = np.full(len(columns), ord(","), dtype=np.uint64)
     seps[-1] = ord("\n")
-    start = 1 + numbered * rows
-    src, lens = _float_fields(np.stack(columns, axis=1).ravel(), seps, slots[start:],
-                              _SLOT * start)
-    src, lens = src.reshape(rows, -1), lens.reshape(rows, -1)
-    if numbered:
-        first_src, first_lens = _index_column(first_index, slots[1:start], _SLOT)
-        src = np.concatenate((first_src, src), axis=1)
-        lens = np.concatenate((first_lens, lens), axis=1)
-    src, lens = src.ravel(), lens.ravel()
-    keep = lens > 0
-    src, lens = src[keep], lens[keep]
-    ends = np.cumsum(lens, dtype=np.int32)
-    # source offset of each output byte: steps of one within a segment and
-    # a jump to the next segment's start, summed up
-    index = np.ones(ends[-1], dtype=np.int32)
-    index[0] = src[0]
-    index[ends[:-1]] = src[1:] - (src[:-1] + lens[:-1]) + 1
-    np.cumsum(index, dtype=np.int32, out=index)
-    # take converts its indices to intp: a slice at a time keeps that small
-    source = slots.view(np.uint8).ravel()
-    out = np.empty(index.size, dtype=np.uint8)
-    for start in range(0, index.size, _TAKE_STEP):
-        stop = start + _TAKE_STEP
-        source.take(index[start:stop], out=out[start:stop])
-    return out.tobytes()
+    cells = _float_cells(np.stack(columns, axis=1).ravel(), seps).reshape(rows, -1)
+    if first_index is not None:
+        cells = np.concatenate((_index_cells(first_index, rows), cells), axis=1)
+    text = cells.view(np.uint8).ravel()
+    return text[text != 0].tobytes()
 
 
 def csv_chunks(columns: Sequence, index: bool = False) -> Iterator[bytes]:

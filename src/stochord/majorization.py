@@ -226,13 +226,16 @@ class GeneratedPair:
     relations, 2 x n matrices for ``"chain"`` (where a = b T_1 ... T_k).
     ``transforms`` carries the exact chain for ``"plain"`` and
     ``"chain"`` pairs; the weak forms rescale after averaging, so no
-    exact chain exists and the tuple is empty.
+    exact chain exists and the tuple is empty. ``steps`` holds every
+    matrix of a ``"chain"`` pair in order, b T_1 ... T_i for i = 0..k,
+    so b first and a last; it is empty for the vector kinds.
     """
 
     kind: str
     a: np.ndarray
     b: np.ndarray
     transforms: tuple[TTransform, ...]
+    steps: tuple[np.ndarray, ...] = ()
 
 
 def generate_hypothesis_pair(
@@ -273,14 +276,14 @@ def generate_hypothesis_pair(
         b = (np.vstack([np.sort(raw[0]), np.sort(raw[1])[::-1]]) if anti_ordered
              else np.sort(raw, axis=1))
         k = int(gen.integers(min_transforms, max_transforms + 1))
-        current = b
+        steps = [b]
         transforms: list[TTransform] = []
         for step in range(k):
             is_last = step == k - 1
             for _ in range(_RETRY_CAP):
                 i, j = map(int, gen.choice(n, size=2, replace=False))
                 t = TTransform(lam=float(gen.uniform(0.0, 1.0)), i=i, j=j)
-                candidate = _apply_columns(current, t)
+                candidate = _apply_columns(steps[-1], t)
                 if is_last or anti_ordered or pn_membership(candidate):
                     break
             else:
@@ -288,8 +291,9 @@ def generate_hypothesis_pair(
                     f"no P_n-preserving transform found at chain step {step + 1}"
                 )
             transforms.append(t)
-            current = candidate
-        return GeneratedPair(kind=kind, a=current, b=b, transforms=tuple(transforms))
+            steps.append(candidate)
+        return GeneratedPair(kind=kind, a=steps[-1], b=b, transforms=tuple(transforms),
+                             steps=tuple(steps))
 
     b = gen.uniform(low, high, size=n)
     c = b.copy()

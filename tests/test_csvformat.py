@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochord.cli import _write_csv
-from stochord.csvformat import CHUNK_ROWS, csv_chunks
+from stochord.csvformat import CHUNK_ROWS, _block, csv_chunks
 
 
 def fields(values) -> list[str]:
@@ -22,13 +22,19 @@ def reprs(values) -> list[str]:
     return [repr(float(v)) for v in values]
 
 
-def reference_csv(header: str, columns, index: bool) -> bytes:
-    """The per-value writer: one repr per field, rows joined by newlines."""
-    rows = [header]
+def reference_rows(columns, first: int | None = None) -> bytes:
+    """The per-value writer's rows: one repr per field, each row ending in
+    a newline and, with ``first``, starting with its row number."""
+    rows = []
     for k in range(len(columns[0])):
         row = [repr(float(col[k])) for col in columns]
-        rows.append(",".join([str(k + 1)] + row if index else row))
-    return ("\n".join(rows) + "\n").encode("ascii")
+        rows.append(",".join(row if first is None else [str(first + k)] + row) + "\n")
+    return "".join(rows).encode("ascii")
+
+
+def reference_csv(header: str, columns, index: bool) -> bytes:
+    """The per-value writer: the header, then one repr per field."""
+    return f"{header}\n".encode("ascii") + reference_rows(columns, 1 if index else None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -98,6 +104,61 @@ def test_multi_column_file_matches_per_value_writer(tmp_path, rows, width, index
     path = tmp_path / "out.csv"
     _write_csv(path, header, columns, index=index)
     assert path.read_bytes() == reference_csv(header, columns, index)
+
+
+# the last row number of each digit count, and some of one more digit
+_WIDTH_STEPS = [10**d - 1 for d in range(1, 19)]
+
+
+@pytest.mark.parametrize("last", _WIDTH_STEPS)
+def test_row_numbers_across_a_digit_count(last):
+    # an index cell holds seven digits and the comma in a word, so 10**7 and
+    # 10**15 add a word
+    columns = [np.linspace(0.5, 3.0, 6), np.linspace(-1.0, 1e20, 6)]
+    for first in (last - 2, last + 1):
+        assert _block(columns, first) == reference_rows(columns, first)
+
+
+def test_row_numbers_across_chunk_boundaries():
+    # the digit count steps inside a chunk and the chunks start at 8193,
+    # 16385, ...: every step from 9 -> 10 to 99999 -> 100000 is crossed
+    values = np.random.default_rng(11).gamma(2.0, size=100_001)
+    text = b"".join(csv_chunks([values], index=True))
+    assert text == reference_rows([values], 1)
+    lines = text.split(b"\n")
+    for last in (9, 99, 999, 9999, 99999, CHUNK_ROWS, 2 * CHUNK_ROWS):
+        assert lines[last - 1].startswith(b"%d," % last)
+        assert lines[last].startswith(b"%d," % (last + 1))
+
+
+@pytest.mark.parametrize("first", [10**7 - 100, 10**9 + 12345, 2**63 - CHUNK_ROWS])
+def test_first_row_number_past_one_word(first):
+    rng = np.random.default_rng(first % 1000)
+    columns = [rng.gamma(2.0, size=CHUNK_ROWS), rng.normal(size=CHUNK_ROWS)]
+    assert _block(columns, first) == reference_rows(columns, first)
+
+
+@pytest.mark.parametrize("index", [False, True])
+def test_chunk_with_every_value_in_repr(index):
+    # zeros, infinities, nan, exact powers of two, subnormals and magnitudes
+    # past 1e280 all fall back to repr
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 2.0**-1074, 1e-300,
+                -2.2250738585072014e-308, 1e300, -1.7976931348623157e308, 0.5, -2.0**60]
+    values = np.array(specials * (2 * CHUNK_ROWS // len(specials) + 1))
+    columns = [values, values[::-1]]
+    assert b"".join(csv_chunks(columns, index=index)) == \
+        reference_rows(columns, 1 if index else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+           lambda width: st.lists(st.lists(st.floats(), min_size=width, max_size=width),
+                                  min_size=1, max_size=30)),
+       st.integers(1, 10**18))
+def test_indexed_rows_match_repr(rows, first):
+    columns = [np.array(col, dtype=np.float64) for col in zip(*rows)]
+    assert b"".join(csv_chunks(columns, index=True)) == reference_rows(columns, 1)
+    assert _block(columns, first) == reference_rows(columns, first)
 
 
 def test_unequal_columns_are_rejected():

@@ -178,8 +178,11 @@ class TestGeneratedPairs:
     def test_chain_replay_reproduces_a(self):
         pair = generate_hypothesis_pair(4, "chain", seed=2024, max_transforms=3)
         current = pair.b
-        for t in pair.transforms:
+        assert len(pair.steps) == len(pair.transforms) + 1
+        assert pair.steps[0] is pair.b and pair.steps[-1] is pair.a
+        for t, step in zip(pair.transforms, pair.steps[1:]):
             current = apply_t_transform(current, t)
+            assert np.array_equal(current, step)
         assert np.array_equal(current, pair.a)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6))
@@ -208,6 +211,10 @@ class TestGeneratedPairs:
     def test_weak_pairs_have_no_exact_chain(self):
         for kind in ("weak_sub", "weak_super"):
             assert generate_hypothesis_pair(3, kind, seed=9).transforms == ()
+
+    def test_vector_pairs_have_no_steps(self):
+        for kind in ("plain", "weak_sub", "weak_super"):
+            assert generate_hypothesis_pair(3, kind, seed=9).steps == ()
 
     def test_same_seed_is_bit_identical(self):
         first = generate_hypothesis_pair(5, "chain", seed=123)
