@@ -275,44 +275,33 @@ def generate_hypothesis_pair(
         raw = gen.uniform(low, high, size=(2, n))
         b = (np.vstack([np.sort(raw[0]), np.sort(raw[1])[::-1]]) if anti_ordered
              else np.sort(raw, axis=1))
-        k = int(gen.integers(min_transforms, max_transforms + 1))
-        steps = [b]
-        transforms: list[TTransform] = []
-        for step in range(k):
-            is_last = step == k - 1
-            for _ in range(_RETRY_CAP):
-                i, j = map(int, gen.choice(n, size=2, replace=False))
-                t = TTransform(lam=float(gen.uniform(0.0, 1.0)), i=i, j=j)
-                candidate = _apply_columns(steps[-1], t)
-                if is_last or anti_ordered or pn_membership(candidate):
-                    break
-            else:
-                raise GenerationError(
-                    f"no P_n-preserving transform found at chain step {step + 1}"
-                )
-            transforms.append(t)
-            steps.append(candidate)
+    else:
+        b = gen.uniform(low, high, size=n)
+    validate = kind == "chain" and not anti_ordered
+    k = int(gen.integers(min_transforms, max_transforms + 1))
+    steps = [b]
+    transforms: list[TTransform] = []
+    for step in range(k):
+        for _ in range(_RETRY_CAP):
+            i, j = map(int, gen.choice(n, size=2, replace=False))
+            t = TTransform(lam=float(gen.uniform(0.0, 1.0)), i=i, j=j)
+            candidate = _apply_columns(steps[-1], t)
+            if not validate or step == k - 1 or pn_membership(candidate):
+                break
+        else:
+            raise GenerationError(
+                f"no P_n-preserving transform found at chain step {step + 1}"
+            )
+        transforms.append(t)
+        steps.append(candidate)
+    if kind == "chain":
         return GeneratedPair(kind=kind, a=steps[-1], b=b, transforms=tuple(transforms),
                              steps=tuple(steps))
 
-    b = gen.uniform(low, high, size=n)
-    c = b.copy()
-    transforms = []
-    for _ in range(int(gen.integers(min_transforms, max_transforms + 1))):
-        i, j = map(int, gen.choice(n, size=2, replace=False))
-        t = TTransform(lam=float(gen.uniform(0.0, 1.0)), i=i, j=j)
-        c = _apply_columns(c, t)
-        transforms.append(t)
-
-    if kind == "plain":
-        a = c
-        kept: tuple[TTransform, ...] = tuple(transforms)
-    elif kind == "weak_sub":
-        a = c * (1.0 - float(gen.uniform(0.05, 0.3)))
-        kept = ()
-    else:
-        a = c * (1.0 + float(gen.uniform(0.05, 0.3)))
-        kept = ()
+    a, kept = steps[-1], tuple(transforms)
+    if kind != "plain":
+        d = float(gen.uniform(0.05, 0.3))
+        a, kept = a * (1.0 - d if kind == "weak_sub" else 1.0 + d), ()
 
     if not majorize_check(a, b, kind):
         raise GenerationError(f"constructed pair failed its own {kind} check")

@@ -104,13 +104,13 @@ def grid_points(x_max, count: int = _DEFAULT_COUNT,
 
 @dataclass(frozen=True, eq=False)
 class Curve:
-    """The evaluated curve a certifier judged.
+    """The evaluated curve a certifier judged, on every point of its grid.
 
     ``lhs`` and ``rhs`` are the two sides at each point of ``x``: sf (st),
-    hazard (hr), reversed hazard (rh) or log density (lr). ``diff`` is the
-    slack at each point, inf and NaN included, for the pointwise orders;
-    for lr it is the increment of rhs - lhs from the point before, with 0
-    at the first point.
+    hazard (hr), reversed hazard (rh, NaN where it is undefined) or log
+    density (lr). ``diff`` is the slack at each point, inf and NaN
+    included, for the pointwise orders; for lr it is the increment of
+    rhs - lhs from the point before, with 0 at the first point.
     """
 
     x: np.ndarray
@@ -127,11 +127,13 @@ class OrderVerdict:
     pointwise orders the worst value of the defining inequality, for lr
     the worst consecutive increment. The order holds when margin >=
     -tolerance; ``witness_x`` pins the failing abscissa otherwise.
-    ``truncated`` marks verdicts that excluded grid points: where a cdf
-    (rh) was zero, where a density (lr) was zero or not finite, or where
-    the slack was not finite. ``curve`` is the ``Curve`` the margin was
-    taken from, before non-finite slack was dropped; it takes no part in
-    comparing verdicts. ``method`` names how the order was judged.
+    Every order excludes the points whose slack is not finite, and only
+    those: two infinite hazards, a zero cdf (rh), or a zero or non-finite
+    density at either end of an increment (lr). ``truncated`` marks a
+    verdict that excluded any, and ``grid_count`` counts the points it
+    judged. ``curve`` is the ``Curve`` on the whole grid, excluded points
+    included; it takes no part in comparing verdicts. ``method`` names
+    how the order was judged.
     """
 
     order: str
@@ -164,17 +166,17 @@ def _finish(
     witness_pool: np.ndarray,
     tolerance: float | None,
     scaled: tuple[np.ndarray, ...],
-    truncated: bool,
     curve: Curve,
 ) -> OrderVerdict:
-    """Judge the slack; points where it is not finite are excluded and truncate.
+    """Judge the slack on the whole grid; points where it is not finite are excluded and truncate.
 
     Without an explicit tolerance, the default is scaled by the largest
     finite |value| of the ``scaled`` arrays.
     """
     finite = np.isfinite(slack)
-    if not finite.all():
-        slack, witness_pool, truncated = slack[finite], witness_pool[finite], True
+    truncated = not finite.all()
+    if truncated:
+        slack, witness_pool = slack[finite], witness_pool[finite]
     if slack.size == 0:
         raise EvaluationDomainError(f"no grid point has a finite {order} slack")
     tol = _default_tolerance(_finite_scale(*scaled)) if tolerance is None else float(tolerance)
@@ -194,40 +196,35 @@ def _finish(
 
 
 def _pointwise(order: str, f_values: np.ndarray, g_values: np.ndarray, xs: np.ndarray,
-               tolerance: float | None, keep: np.ndarray | None = None) -> OrderVerdict:
+               tolerance: float | None) -> OrderVerdict:
     """Judge f <= g from both sides' sf (st), hazard (hr) or reversed hazard (rh).
 
-    hr needs r_f >= r_g, the others f's value <= g's. ``keep``, if given,
-    marks the points where the values are defined; dropping any truncates
-    the verdict. Past the support two hazards may both be inf; _finish
-    drops the inf - inf slack, which the curve keeps.
+    hr needs r_f >= r_g, the others f's value <= g's. Past the support two
+    hazards may both be inf, and an undefined reversed hazard is NaN; _finish
+    excludes the slack there, which the curve keeps.
     """
-    truncated = keep is not None and not keep.all()
-    if truncated:
-        f_values, g_values, xs = f_values[keep], g_values[keep], xs[keep]
-        if xs.size < 2:
-            raise EvaluationDomainError("cdf underflow leaves fewer than two usable grid points")
     with np.errstate(invalid="ignore"):
         slack = f_values - g_values if order == "hr" else g_values - f_values
-    return _finish(order, slack, xs, tolerance, (f_values, g_values), truncated,
+    return _finish(order, slack, xs, tolerance, (f_values, g_values),
                    Curve(xs, f_values, g_values, slack))
 
 
-def certify_rows(order: str, f_values, g_values, points, tolerance: float | None = None,
-                 keep=None) -> list[OrderVerdict]:
+def certify_rows(order: str, f_values, g_values, points,
+                 tolerance: float | None = None) -> list[OrderVerdict]:
     """Certify f <= g in st, hr or rh for many rows of evaluated values at once.
 
     Row r of ``f_values`` and ``g_values`` holds the two sides' sf (st),
     hazard (hr) or reversed hazard (rh) on row r of ``points``; each may
-    be an (R, G) array or a sequence of R rows. ``keep``, if given, marks
-    the points of each row where the values are defined; dropping any
-    truncates that row's verdict. Row r's verdict, curve included, is the
-    one certify_st, certify_hr or certify_rh reaches on that row's grid.
+    be an (R, G) array or a sequence of R rows. Mark a point where a value
+    is undefined, such as a reversed hazard where a cdf is 0, with NaN: its
+    slack is then not finite and the verdict excludes it. Row r's verdict,
+    curve included, is the one certify_st, certify_hr or certify_rh reaches
+    on that row's grid.
     """
     if order not in _QUANTITY:
         raise ValueError(f"row certification covers {tuple(_QUANTITY)}, got {order!r}")
-    return [_pointwise(order, f, g, xs, tolerance, None if keep is None else keep[r])
-            for r, (f, g, xs) in enumerate(zip(f_values, g_values, points))]
+    return [_pointwise(order, f, g, xs, tolerance)
+            for f, g, xs in zip(f_values, g_values, points)]
 
 
 def _points(f, g, grid: Grid | None) -> np.ndarray:
@@ -253,36 +250,33 @@ def certify_hr(f, g, grid: Grid | None = None, tolerance: float | None = None) -
 def certify_rh(f, g, grid: Grid | None = None, tolerance: float | None = None) -> OrderVerdict:
     """Certify f <= g in the reversed hazard order: rtilde_f <= rtilde_g pointwise.
 
-    Grid points where either cdf is exactly zero are excluded (the
-    reversed hazard is undefined there); exclusions set the truncated
-    flag.
+    The reversed hazard is undefined where a cdf is exactly zero; both
+    sides are NaN there, so the verdict excludes those points and is
+    truncated. The evaluators are called only where both cdfs are positive.
     """
     xs = _points(f, g, grid)
-    keep = (np.asarray(f.cdf(xs)) > 0.0) & (np.asarray(g.cdf(xs)) > 0.0)
+    defined = (np.asarray(f.cdf(xs)) > 0.0) & (np.asarray(g.cdf(xs)) > 0.0)
     rh_f, rh_g = np.full(xs.shape, np.nan), np.full(xs.shape, np.nan)
-    rh_f[keep], rh_g[keep] = f.reversed_hazard(xs[keep]), g.reversed_hazard(xs[keep])
-    return _pointwise("rh", rh_f, rh_g, xs, tolerance, keep)
+    rh_f[defined], rh_g[defined] = f.reversed_hazard(xs[defined]), g.reversed_hazard(xs[defined])
+    return _pointwise("rh", rh_f, rh_g, xs, tolerance)
 
 
 def certify_lr(f, g, grid: Grid | None = None, tolerance: float | None = None) -> OrderVerdict:
     """Certify f <= g in the likelihood ratio order.
 
     Holds when pdf_g / pdf_f is non-decreasing across the grid, checked
-    as monotonicity of log pdf_g - log pdf_f. Points where either
-    density underflows to zero are excluded and flagged as truncation.
+    as monotonicity of log pdf_g - log pdf_f between neighbouring points.
+    Where either density is zero or not finite the log ratio is not
+    finite, so the increments on both sides of that point are excluded
+    and the verdict is truncated.
     """
     xs = _points(f, g, grid)
-    pdf_f = np.asarray(f.pdf(xs))
-    pdf_g = np.asarray(g.pdf(xs))
-    keep = (pdf_f > 0.0) & (pdf_g > 0.0) & np.isfinite(pdf_f) & np.isfinite(pdf_g)
-    xs_kept = xs[keep]
-    if xs_kept.size < 2:
-        raise EvaluationDomainError("density underflow leaves fewer than two usable grid points")
-    log_f, log_g = np.log(pdf_f[keep]), np.log(pdf_g[keep])
-    ratio = log_g - log_f
-    slack = np.diff(ratio)
-    return _finish("lr", slack, xs_kept[1:], tolerance, (ratio,), not bool(keep.all()),
-                   Curve(xs_kept, log_f, log_g, np.concatenate([[0.0], slack])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_f, log_g = np.log(np.asarray(f.pdf(xs))), np.log(np.asarray(g.pdf(xs)))
+        ratio = log_g - log_f
+        slack = np.diff(ratio)
+    return _finish("lr", slack, xs[1:], tolerance, (ratio,),
+                   Curve(xs, log_f, log_g, np.concatenate([[0.0], slack])))
 
 
 def certify(order: str, f, g, **kwargs) -> OrderVerdict:

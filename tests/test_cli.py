@@ -334,6 +334,27 @@ class TestGoldenBytes:
         assert sha256(tmp_path / "compare_curve.csv") == \
             "c20d426877a70ec70e7518eff016f646b90b2a2d6c0c0c99db58d1d50b78badd"
 
+    @pytest.mark.parametrize("order, xmax, grid, margin, digest", [
+        # both densities underflow to 0 on the upper part of the grid
+        ("lr", "50", 1109, "-0.00010144994709160304",
+         "6a6517942c647d22b92b3c3bfb6af2a995bb8a137e48bc759da5ba5ea8f2e1b0"),
+        # both cdfs are 0 on the lower part of the grid
+        ("rh", "1e-107", 610, "-3.269304598166579e+108",
+         "d1ed4be35f634e952e230d492614111f1ce629b5b95a5d1f093e07a35b5cb9c2"),
+    ])
+    def test_truncated_curve_keeps_every_grid_row(self, capsys, tmp_path, order, xmax,
+                                                  grid, margin, digest):
+        # the verdict excludes the rows whose slack is not finite; the CSV keeps them
+        code, out, _ = run(capsys, "compare", "--config", EXAMPLE1, "--order", order,
+                           "--xmax", xmax, "--out", str(tmp_path))
+        lines = out.splitlines()
+        assert code == 3
+        assert "truncated: true" in lines and f"grid: {grid}" in lines
+        assert f"margin: {margin}" in lines
+        csv = tmp_path / "compare_curve.csv"
+        assert len(csv.read_text().splitlines()) == 1 + 2048
+        assert sha256(csv) == digest
+
     @pytest.mark.parametrize("scenario, digest", [
         ("T3.1", "eccbce122b275773f667e56fa7bdc6ab43f7e05ec5efed2705243aa12477707c"),
         ("T3.2", "96048e09963d7a9236f29d57184e3aad7dbe9ea3057ff0049676e75750070b5f"),

@@ -98,11 +98,27 @@ class TestCertifiers:
         verdict = certify_rh(SMALLER, LARGER, grid=deep)
         assert verdict.holds and verdict.truncated
         assert verdict.grid_count < 32
+        # the curve holds every grid point; the slack is not finite exactly where a cdf is 0
+        curve = verdict.curve
+        assert np.array_equal(curve.x, deep.points)
+        zero = (SMALLER.cdf(deep.points) == 0.0) | (LARGER.cdf(deep.points) == 0.0)
+        assert zero.any() and not zero.all()
+        assert np.array_equal(~np.isfinite(curve.diff), zero)
+        assert verdict.grid_count == np.isfinite(curve.diff).sum()
 
     def test_lr_excludes_zero_density_points(self):
         far = Grid(points=np.geomspace(0.1, 50.0, 64))
         verdict = certify_lr(SMALLER, LARGER, grid=far)
         assert verdict.holds and verdict.truncated
+        curve = verdict.curve
+        assert np.array_equal(curve.x, far.points)
+        pdfs = np.stack([SMALLER.pdf(far.points), LARGER.pdf(far.points)])
+        bad = ((pdfs <= 0.0) | ~np.isfinite(pdfs)).any(axis=0)
+        assert bad.any() and not bad.all()
+        # an increment is not finite exactly where either of its ends is bad
+        slack = curve.diff[1:]
+        assert np.array_equal(~np.isfinite(slack), bad[1:] | bad[:-1])
+        assert verdict.grid_count == np.isfinite(slack).sum()
 
     def test_lr_detects_crossing_families(self):
         f = GompertzMakeham(0.5, 2.0, 0.1)
@@ -177,6 +193,13 @@ class TestJointGridEnd:
         assert end == max(d.support_upper(tail) for d in dists)
 
 
+class _Undefined:
+    """A stand-in lifetime: sf, hazard, cdf, reversed_hazard and pdf are NaN everywhere."""
+
+    def __getattr__(self, name):
+        return lambda x: np.full(np.shape(x), np.nan)
+
+
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal bit for bit, NaN matching NaN."""
     return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
@@ -206,11 +229,28 @@ class TestNonFiniteSlack:
         assert math.isfinite(verdict.margin) and math.isfinite(verdict.tolerance)
         assert verdict.holds == (verdict.margin >= -verdict.tolerance)
 
-    def test_no_finite_slack_raises(self):
-        nowhere = Grid(points=np.geomspace(1e3, 1e4, 16))
-        with pytest.raises(EvaluationDomainError):
-            certify_hr(SystemSpec((SMALLER,), "parallel"), SystemSpec((LARGER,), "parallel"),
-                       grid=nowhere)
+    @pytest.mark.parametrize("order, pair, points", [
+        # no lifetime has an undefined sf; a stand-in whose evaluators are all NaN
+        ("st", (_Undefined(), _Undefined()), np.geomspace(1.0, 10.0, 16)),
+        # past the support both parallel hazards are inf
+        ("hr", (SystemSpec((SMALLER,), "parallel"), SystemSpec((LARGER,), "parallel")),
+         np.geomspace(1e3, 1e4, 16)),
+        # both cdfs are 0
+        ("rh", (SMALLER, LARGER), np.geomspace(1e-300, 1e-200, 16)),
+        # both densities are 0
+        ("lr", (SMALLER, LARGER), np.geomspace(1e3, 1e4, 16)),
+    ], ids=ORDERS)
+    def test_no_finite_slack_raises(self, order, pair, points):
+        with pytest.raises(EvaluationDomainError, match=f"no grid point has a finite {order}"):
+            certify(order, *pair, grid=Grid(points=points))
+
+
+def _rh_rows(f, g, xs):
+    """Both reversed hazards on xs, NaN where either cdf is 0, and where both are defined."""
+    defined = (f.cdf(xs) > 0.0) & (g.cdf(xs) > 0.0)
+    f_row, g_row = np.full(xs.shape, np.nan), np.full(xs.shape, np.nan)
+    f_row[defined], g_row[defined] = f.reversed_hazard(xs[defined]), g.reversed_hazard(xs[defined])
+    return f_row, g_row, defined
 
 
 class TestRows:
@@ -231,21 +271,29 @@ class TestRows:
         grid = Grid.for_models(f, g, count=128)
         xs = grid.points
         quantity = {"st": "sf", "hr": "hazard", "rh": "reversed_hazard"}[order]
-        keep = None
         if order == "rh":
-            keep = (f.cdf(xs) > 0.0) & (g.cdf(xs) > 0.0)
-            f_row, g_row = np.full(xs.shape, np.nan), np.full(xs.shape, np.nan)
-            f_row[keep], g_row[keep] = f.reversed_hazard(xs[keep]), g.reversed_hazard(xs[keep])
-            keep = [keep] * 2
+            f_row, g_row, _ = _rh_rows(f, g, xs)
         else:
             f_row, g_row = getattr(f, quantity)(xs), getattr(g, quantity)(xs)
         rows = certify_rows(order, [f_row, f_row], [g_row, g_row], [xs, xs],
-                            tolerance=tolerance, keep=keep)
+                            tolerance=tolerance)
         single = certify(order, f, g, grid=grid, tolerance=tolerance)
         assert rows == [single, single]
         for row in rows:
             for name in ("x", "lhs", "rhs", "diff"):
                 assert _same(getattr(row.curve, name), getattr(single.curve, name))
+
+    def test_rows_marked_nan_where_a_cdf_is_zero_match_certify_rh(self):
+        # the property test's grids never reach a zero cdf; this one starts where both are 0
+        xs = np.geomspace(1e-200, 1.0, 32)
+        f_row, g_row, defined = _rh_rows(SMALLER, LARGER, xs)
+        assert not defined[0] and defined[-1]
+        [row] = certify_rows("rh", [f_row], [g_row], [xs])
+        single = certify_rh(SMALLER, LARGER, grid=Grid(points=xs))
+        assert row == single and row.truncated
+        assert row.grid_count == defined.sum()
+        for name in ("x", "lhs", "rhs", "diff"):
+            assert _same(getattr(row.curve, name), getattr(single.curve, name))
 
     def test_lr_has_no_row_form(self):
         with pytest.raises(ValueError):
