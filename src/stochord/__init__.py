@@ -70,7 +70,6 @@ from .systems import (
     STRUCTURES,
     SystemSpec,
     lambda_aggregate_sf,
-    parallel_reversed_hazard_factored,
 )
 
 __version__ = "0.1.0"
@@ -119,7 +118,6 @@ __all__ = [
     "ks_distance",
     "lambda_aggregate_sf",
     "majorize_check",
-    "parallel_reversed_hazard_factored",
     "pn_membership",
     "reversed_hazard_weight",
     "run_scenario",

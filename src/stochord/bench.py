@@ -64,10 +64,7 @@ A scenario runs as one batch, in three phases:
 The report is assembled in index order. Each row of every phase is
 bit-identical to evaluating, searching and certifying that instance on
 its own with SystemSpec, Grid.for_models and certify_st, certify_hr or
-certify_rh. The rh rows are the stack's reversed hazards, NaN where a
-component cdf is 0; certify_rh also excludes the points where a
-parallel cdf underflows to 0 with every component cdf positive, which
-the bench's 2.5-decade rh grids do not reach.
+certify_rh, which judge one row through the same certify_rows.
 """
 
 from __future__ import annotations

@@ -29,12 +29,13 @@ import numpy as np
 
 from .errors import EvaluationDomainError
 from .models import _TAIL, _support_upper
+from .systems import SystemSpec
 
 ORDERS = ("st", "hr", "rh", "lr")
 # how each order is judged, as OrderVerdict.method reports it
 _METHODS = {"st": "sf-pointwise", "hr": "hazard", "rh": "reversed-hazard", "lr": "log-pdf-ratio"}
-# what the pointwise orders compare, as the system evaluator that gives it
-_QUANTITY = {"st": "sf", "hr": "hazard", "rh": "reversed_hazard"}
+# what each order compares, as the system evaluator that gives it
+_QUANTITY = {"st": "sf", "hr": "hazard", "rh": "reversed_hazard", "lr": "pdf"}
 
 _MIN_GRID = 16
 _DEFAULT_COUNT = 2048
@@ -128,12 +129,12 @@ class OrderVerdict:
     the worst consecutive increment. The order holds when margin >=
     -tolerance; ``witness_x`` pins the failing abscissa otherwise.
     Every order excludes the points whose slack is not finite, and only
-    those: two infinite hazards, a zero cdf (rh), or a zero or non-finite
-    density at either end of an increment (lr). ``truncated`` marks a
-    verdict that excluded any, and ``grid_count`` counts the points it
-    judged. ``curve`` is the ``Curve`` on the whole grid, excluded points
-    included; it takes no part in comparing verdicts. ``method`` names
-    how the order was judged.
+    those: two infinite hazards, a component cdf of 0 (rh), or a zero or
+    non-finite density at either end of an increment (lr). ``truncated``
+    marks a verdict that excluded any, and ``grid_count`` counts the
+    points it judged. ``curve`` is the ``Curve`` on the whole grid,
+    excluded points included; it takes no part in comparing verdicts.
+    ``method`` names how the order was judged.
     """
 
     order: str
@@ -195,15 +196,25 @@ def _finish(
     )
 
 
-def _pointwise(order: str, f_values: np.ndarray, g_values: np.ndarray, xs: np.ndarray,
-               tolerance: float | None) -> OrderVerdict:
-    """Judge f <= g from both sides' sf (st), hazard (hr) or reversed hazard (rh).
+def _judge(order: str, f_values: np.ndarray, g_values: np.ndarray, xs: np.ndarray,
+           tolerance: float | None) -> OrderVerdict:
+    """Judge f <= g on one row of sf (st), hazard (hr), reversed hazard (rh) or pdf (lr).
 
-    hr needs r_f >= r_g, the others f's value <= g's. Past the support two
-    hazards may both be inf, and an undefined reversed hazard is NaN; _finish
-    excludes the slack there, which the curve keeps.
+    hr needs r_f >= r_g, st and rh f's value <= g's, and lr a log pdf ratio
+    that never decreases. Past the support two hazards may both be inf, an
+    undefined reversed hazard is NaN and a zero density has log -inf;
+    _finish excludes the slack there, which the curve keeps.
     """
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if order == "lr":
+            log_f, log_g = np.log(f_values), np.log(g_values)
+            ratio = log_g - log_f
+            slack = np.diff(ratio)
+            return _finish(order, slack, xs[1:], tolerance, (ratio,),
+                           Curve(xs, log_f, log_g, np.concatenate([[0.0], slack])))
+        if order == "rh":  # a reversed hazard undefined on either side is undefined on both
+            undefined = np.isnan(f_values) | np.isnan(g_values)
+            f_values, g_values = (np.where(undefined, np.nan, v) for v in (f_values, g_values))
         slack = f_values - g_values if order == "hr" else g_values - f_values
     return _finish(order, slack, xs, tolerance, (f_values, g_values),
                    Curve(xs, f_values, g_values, slack))
@@ -211,30 +222,39 @@ def _pointwise(order: str, f_values: np.ndarray, g_values: np.ndarray, xs: np.nd
 
 def certify_rows(order: str, f_values, g_values, points,
                  tolerance: float | None = None) -> list[OrderVerdict]:
-    """Certify f <= g in st, hr or rh for many rows of evaluated values at once.
+    """Certify f <= g in any of the four orders for many rows of evaluated values at once.
 
     Row r of ``f_values`` and ``g_values`` holds the two sides' sf (st),
-    hazard (hr) or reversed hazard (rh) on row r of ``points``; each may
-    be an (R, G) array or a sequence of R rows. Mark a point where a value
-    is undefined, such as a reversed hazard where a cdf is 0, with NaN: its
-    slack is then not finite and the verdict excludes it. Row r's verdict,
-    curve included, is the one certify_st, certify_hr or certify_rh reaches
-    on that row's grid.
+    hazard (hr), reversed hazard (rh) or pdf (lr) on row r of ``points``;
+    each may be an (R, G) array or a sequence of R rows, and all three hold
+    the same number of rows. Mark a point where a value is undefined, such
+    as a reversed hazard where a component cdf is 0, with NaN: its slack is
+    then not finite and the verdict excludes it. The single-pair
+    certifiers are this function on one row.
     """
-    if order not in _QUANTITY:
-        raise ValueError(f"row certification covers {tuple(_QUANTITY)}, got {order!r}")
-    return [_pointwise(order, f, g, xs, tolerance)
-            for f, g, xs in zip(f_values, g_values, points)]
+    if order not in ORDERS:
+        raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
+    return [_judge(order, np.asarray(f), np.asarray(g), xs, tolerance)
+            for f, g, xs in zip(f_values, g_values, points, strict=True)]
 
 
-def _points(f, g, grid: Grid | None) -> np.ndarray:
-    return (grid if grid is not None else Grid.for_models(f, g)).points
+def _certify(order: str, f, g, grid: Grid | None, tolerance: float | None) -> OrderVerdict:
+    """One row of certify_rows, from each side's one-row system stack.
+
+    A bare model is evaluated as a series system of one, which gives the
+    same bits as its own evaluators.
+    """
+    stacks = [(d if isinstance(d, SystemSpec) else SystemSpec((d,), "series"))._stack
+              for d in (f, g)]
+    xs = (grid if grid is not None else Grid.for_models(f, g)).points
+    f_row, g_row = (getattr(stack, _QUANTITY[order])(xs) for stack in stacks)
+    [verdict] = certify_rows(order, [f_row], [g_row], [xs], tolerance)
+    return verdict
 
 
 def certify_st(f, g, grid: Grid | None = None, tolerance: float | None = None) -> OrderVerdict:
     """Certify f <= g in the usual stochastic order: sf_f <= sf_g pointwise."""
-    xs = _points(f, g, grid)
-    return _pointwise("st", np.asarray(f.sf(xs)), np.asarray(g.sf(xs)), xs, tolerance)
+    return _certify("st", f, g, grid, tolerance)
 
 
 def certify_hr(f, g, grid: Grid | None = None, tolerance: float | None = None) -> OrderVerdict:
@@ -243,22 +263,19 @@ def certify_hr(f, g, grid: Grid | None = None, tolerance: float | None = None) -
     For absolutely continuous lifetimes this is equivalent to sf_g / sf_f
     being non-decreasing.
     """
-    xs = _points(f, g, grid)
-    return _pointwise("hr", np.asarray(f.hazard(xs)), np.asarray(g.hazard(xs)), xs, tolerance)
+    return _certify("hr", f, g, grid, tolerance)
 
 
 def certify_rh(f, g, grid: Grid | None = None, tolerance: float | None = None) -> OrderVerdict:
     """Certify f <= g in the reversed hazard order: rtilde_f <= rtilde_g pointwise.
 
-    The reversed hazard is undefined where a cdf is exactly zero; both
-    sides are NaN there, so the verdict excludes those points and is
-    truncated. The evaluators are called only where both cdfs are positive.
+    The reversed hazard is undefined where a component cdf is exactly
+    zero; both sides are NaN there, so the verdict excludes those points
+    and is truncated. A parallel cdf that underflows to 0 while every
+    component cdf is positive leaves the reversed hazard, a sum over the
+    components, defined.
     """
-    xs = _points(f, g, grid)
-    defined = (np.asarray(f.cdf(xs)) > 0.0) & (np.asarray(g.cdf(xs)) > 0.0)
-    rh_f, rh_g = np.full(xs.shape, np.nan), np.full(xs.shape, np.nan)
-    rh_f[defined], rh_g[defined] = f.reversed_hazard(xs[defined]), g.reversed_hazard(xs[defined])
-    return _pointwise("rh", rh_f, rh_g, xs, tolerance)
+    return _certify("rh", f, g, grid, tolerance)
 
 
 def certify_lr(f, g, grid: Grid | None = None, tolerance: float | None = None) -> OrderVerdict:
@@ -270,13 +287,7 @@ def certify_lr(f, g, grid: Grid | None = None, tolerance: float | None = None) -
     finite, so the increments on both sides of that point are excluded
     and the verdict is truncated.
     """
-    xs = _points(f, g, grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_f, log_g = np.log(np.asarray(f.pdf(xs))), np.log(np.asarray(g.pdf(xs)))
-        ratio = log_g - log_f
-        slack = np.diff(ratio)
-    return _finish("lr", slack, xs[1:], tolerance, (ratio,),
-                   Curve(xs, log_f, log_g, np.concatenate([[0.0], slack])))
+    return _certify("lr", f, g, grid, tolerance)
 
 
 def certify(order: str, f, g, **kwargs) -> OrderVerdict:

@@ -58,7 +58,7 @@ class SystemStack:
     points and of every result belongs to system s. Each evaluator sums
     the columns one at a time, in order, over (S, m) arrays, so row s is
     bit-identical to evaluating system s alone. Where a reversed hazard is
-    undefined (a cdf of zero) it is NaN.
+    undefined (a component cdf of 0) it is NaN.
 
     A stack of one system passes its kernels float parameters, as the
     model methods do, and takes points of any shape: with (1, 1) columns
@@ -236,41 +236,6 @@ def _leave_one_out_products(factors: list[np.ndarray]) -> list[np.ndarray]:
         suffix.append(suffix[-1] * v)
     suffix.reverse()
     return [prefix[i] * suffix[i] for i in range(n)]
-
-
-def parallel_reversed_hazard_factored(system: SystemSpec, x):
-    """Factored reversed hazard for parallel Weibull-G with shared beta and gamma.
-
-    With z(x) = w(gamma x)**beta and weights alpha_i, the reversed hazard
-    collapses to
-
-        z'(x) * sum_i alpha_i / (e^{alpha_i z(x)} - 1),
-
-    where z'(x) = beta gamma w**(beta-1) w'(gamma x). Requires every
-    component to be a WeibullG sharing beta, gamma, and baseline.
-    """
-    if system.structure != "parallel":
-        raise ValueError("parallel_reversed_hazard_factored requires a parallel system")
-    parts = system.components
-    if not all(isinstance(c, WeibullG) for c in parts):
-        raise ValueError("factored form requires Weibull-G components")
-    first = parts[0]
-    if any(c.beta != first.beta or c.gamma != first.gamma or c.baseline is not first.baseline
-           for c in parts[1:]):
-        raise ValueError("factored form requires shared beta, gamma, and baseline")
-
-    xa = _as_array(x)
-    beta, gamma = first.beta, first.gamma
-    t = gamma * xa
-    w = first.baseline.w(t)
-    d1 = first.baseline.d1(t)
-    if np.any(np.asarray(w) <= 0.0):
-        raise EvaluationDomainError("factored reversed hazard undefined where cdf(x) = 0")
-    z = w**beta
-    z_prime = beta * gamma * w ** (beta - 1.0) * d1
-    with np.errstate(over="ignore"):
-        weight_sum = sum(c.alpha / np.expm1(c.alpha * z) for c in parts)
-    return _match(x, z_prime * weight_sum)
 
 
 def lambda_aggregate_sf(lam, alpha: float, beta: float, x):

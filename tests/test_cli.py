@@ -87,6 +87,19 @@ class TestCompare:
         rows = (tmp_path / "compare_curve.csv").read_text().splitlines()[1:]
         assert len(rows) == 2048
 
+    def test_parallel_rh_where_the_system_cdf_underflows(self, capsys, tmp_path):
+        # on a grid ending at 1e-56 both parallel cdfs underflow to 0, but no
+        # component cdf does, so every reversed hazard is defined and judged
+        doc = json.load(open(EXAMPLE1))
+        doc["first"]["structure"] = doc["second"]["structure"] = "parallel"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "compare", "--config", str(cfg), "--order", "rh",
+                             "--xmax", "1e-56", "--out", str(tmp_path))
+        lines = out.splitlines()
+        assert code == 0 and err == ""
+        assert "grid: 2048" in lines and "truncated: false" in lines
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "compare", "--config", "nowhere.json")
         assert code == 2 and "nowhere.json: no such file" in err

@@ -142,6 +142,14 @@ class TestCertifiers:
         with pytest.raises(ValueError):
             certify("total", SMALLER, LARGER)
 
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_only_models_and_systems_are_certified(self, order):
+        # a stand-in with every evaluator is not duck-typed into a lifetime
+        grid = Grid(points=np.geomspace(1.0, 10.0, 16))
+        for pair in ((_Undefined(), LARGER), (SMALLER, "weibull-g")):
+            with pytest.raises(TypeError):
+                certify(order, *pair, grid=grid)
+
     def test_verdict_is_frozen_record(self):
         verdict = certify_st(SMALLER, LARGER)
         assert isinstance(verdict, OrderVerdict)
@@ -194,7 +202,7 @@ class TestJointGridEnd:
 
 
 class _Undefined:
-    """A stand-in lifetime: sf, hazard, cdf, reversed_hazard and pdf are NaN everywhere."""
+    """A stand-in with every lifetime evaluator, each NaN everywhere."""
 
     def __getattr__(self, name):
         return lambda x: np.full(np.shape(x), np.nan)
@@ -230,8 +238,6 @@ class TestNonFiniteSlack:
         assert verdict.holds == (verdict.margin >= -verdict.tolerance)
 
     @pytest.mark.parametrize("order, pair, points", [
-        # no lifetime has an undefined sf; a stand-in whose evaluators are all NaN
-        ("st", (_Undefined(), _Undefined()), np.geomspace(1.0, 10.0, 16)),
         # past the support both parallel hazards are inf
         ("hr", (SystemSpec((SMALLER,), "parallel"), SystemSpec((LARGER,), "parallel")),
          np.geomspace(1e3, 1e4, 16)),
@@ -239,10 +245,17 @@ class TestNonFiniteSlack:
         ("rh", (SMALLER, LARGER), np.geomspace(1e-300, 1e-200, 16)),
         # both densities are 0
         ("lr", (SMALLER, LARGER), np.geomspace(1e3, 1e4, 16)),
-    ], ids=ORDERS)
+    ], ids=ORDERS[1:])
     def test_no_finite_slack_raises(self, order, pair, points):
         with pytest.raises(EvaluationDomainError, match=f"no grid point has a finite {order}"):
             certify(order, *pair, grid=Grid(points=points))
+
+    def test_undefined_st_rows_raise(self):
+        # no lifetime has an undefined sf; rows of NaN stand in for one
+        xs = np.geomspace(1.0, 10.0, 16)
+        undefined = np.full(xs.shape, np.nan)
+        with pytest.raises(EvaluationDomainError, match="no grid point has a finite st"):
+            certify_rows("st", [undefined], [undefined], [xs])
 
 
 def _rh_rows(f, g, xs):
@@ -263,14 +276,14 @@ class TestRows:
             single = Grid.for_models(count=64, x_max=end, span_decades=span)
             assert np.array_equal(row, single.points)
 
-    @given(_system_pairs(), st.sampled_from(["st", "hr", "rh"]),
+    @given(_system_pairs(), st.sampled_from(ORDERS),
            st.sampled_from([None, 1e-9]))
     @settings(max_examples=60, deadline=None)
     def test_row_verdicts_match_the_certifiers(self, pair, order, tolerance):
         f, g = pair
         grid = Grid.for_models(f, g, count=128)
         xs = grid.points
-        quantity = {"st": "sf", "hr": "hazard", "rh": "reversed_hazard"}[order]
+        quantity = {"st": "sf", "hr": "hazard", "rh": "reversed_hazard", "lr": "pdf"}[order]
         if order == "rh":
             f_row, g_row, _ = _rh_rows(f, g, xs)
         else:
@@ -295,9 +308,33 @@ class TestRows:
         for name in ("x", "lhs", "rhs", "diff"):
             assert _same(getattr(row.curve, name), getattr(single.curve, name))
 
-    def test_lr_has_no_row_form(self):
+    def test_parallel_rh_keeps_points_where_only_the_system_cdf_underflows(self):
+        # a component cdf of 0 leaves the lowest points undefined; above them
+        # the parallel cdf, a product of positive component cdfs, still
+        # underflows to 0, while each reversed hazard, a sum, is defined
+        f = SystemSpec((WeibullG(2, 2, 1), WeibullG(1.5, 3, 1)), "parallel")
+        g = SystemSpec((WeibullG(1, 2, 1), WeibullG(1, 3, 1)), "parallel")
+        xs = np.geomspace(1e-200, 1.0, 64)
+        verdict = certify_rh(f, g, grid=Grid(points=xs))
+        [row] = certify_rows("rh", [f._stack.reversed_hazard(xs)],
+                             [g._stack.reversed_hazard(xs)], [xs])
+        assert verdict == row and verdict.grid_count == 34
+        for name in ("x", "lhs", "rhs", "diff"):
+            assert _same(getattr(verdict.curve, name), getattr(row.curve, name))
+        judged = np.isfinite(verdict.curve.diff)
+        assert (f.cdf(xs[judged]) == 0.0).any() and (g.cdf(xs[judged]) == 0.0).any()
+
+    def test_unknown_order_raises(self):
         with pytest.raises(ValueError):
-            certify_rows("lr", [np.ones(16)], [np.ones(16)], [np.linspace(0.1, 1.0, 16)])
+            certify_rows("total", [np.ones(16)], [np.ones(16)], [np.linspace(0.1, 1.0, 16)])
+
+    def test_rows_of_unequal_count_raise(self):
+        # zip would pair the first rows and drop the rest without a word
+        xs = np.linspace(0.1, 1.0, 16)
+        with pytest.raises(ValueError):
+            certify_rows("st", [np.ones(16), np.ones(16)], [np.ones(16)], [xs, xs])
+        with pytest.raises(ValueError):
+            certify_rows("st", [np.ones(16)], [np.ones(16)], [xs, xs])
 
 
 class TestCurve:

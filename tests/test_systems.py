@@ -17,7 +17,6 @@ from stochord import (
     SystemSpec,
     WeibullG,
     lambda_aggregate_sf,
-    parallel_reversed_hazard_factored,
 )
 from stochord.models import _FAMILIES, EXPONENTIAL_STANDARD, _support_upper
 from stochord.systems import SystemStack
@@ -95,28 +94,6 @@ class TestParallel:
         expected = sum(np.asarray(c.reversed_hazard(xs)) for c in sys_p.components)
         assert_allclose(np.asarray(sys_p.reversed_hazard(xs)), expected,
                         rtol=1e-13)
-
-    def test_factored_reversed_hazard_pinned_and_matches_generic(self):
-        sys_p = SystemSpec((WeibullG(1.5, 2.0, 0.8), WeibullG(2.5, 2.0, 0.8)), "parallel")
-        assert_allclose(parallel_reversed_hazard_factored(sys_p, 0.5),
-                        7.558624946927722, rtol=1e-13)
-        xs = np.linspace(0.1, 2.0, 40)
-        assert_allclose(np.asarray(parallel_reversed_hazard_factored(sys_p, xs)),
-                        np.asarray(sys_p.reversed_hazard(xs)), rtol=1e-10)
-
-    def test_factored_form_requires_shared_shape_and_scale(self):
-        mixed_beta = SystemSpec((WeibullG(1.5, 2.0, 0.8), WeibullG(2.5, 3.0, 0.8)),
-                                "parallel")
-        with pytest.raises(ValueError):
-            parallel_reversed_hazard_factored(mixed_beta, 0.5)
-        not_wg = SystemSpec((GompertzMakeham(1.0, 1.0, 1.0),), "parallel")
-        with pytest.raises(ValueError):
-            parallel_reversed_hazard_factored(not_wg, 0.5)
-
-    def test_factored_form_undefined_at_zero(self):
-        sys_p = SystemSpec((WeibullG(1.5, 2.0, 0.8), WeibullG(2.5, 2.0, 0.8)), "parallel")
-        with pytest.raises(EvaluationDomainError):
-            parallel_reversed_hazard_factored(sys_p, 0.0)
 
     def test_parallel_hazard_diverges_only_past_support(self):
         sys_p = SystemSpec(WG_SOURCE.components, "parallel")
