@@ -197,10 +197,11 @@ def _index_text(width: int) -> np.ndarray:
     return text.astype(np.uint8).view("<u8")
 
 
-def _float_cells(values: np.ndarray, seps: np.ndarray) -> np.ndarray:
-    """The (fields, 4) cells of float fields, each followed by a separator
-    from ``seps`` in turn, repeating, so row-major rows of ``seps.size``
-    fields take one pass."""
+def _float_cells(values: np.ndarray, cells: np.ndarray) -> None:
+    """Write the float fields ``values``, row-major, into the (rows,
+    columns, 4) ``cells``, each followed by a comma, or by a newline at the
+    end of a row; all rows take one pass."""
+    columns = cells.shape[1]
     q, nd, decpt, ok = _shortest(np.abs(values))
     expo = (decpt < -3) | (decpt > 16)
     integral = ~expo & (decpt >= nd)
@@ -220,10 +221,10 @@ def _float_cells(values: np.ndarray, seps: np.ndarray) -> np.ndarray:
     np.floor_divide(words[1], np.uint64(10**8), out=words[0])
     words[1] -= words[0] * np.uint64(10**8)
     _digit_bytes(words)
-    cells = np.empty((values.size, 4), dtype="<u8")
-    np.bitwise_or(words.T, np.take(_float_text(), layout, axis=0), out=cells[:, :3])
-    cells.reshape(-1, seps.size, 4)[:, :, 3] = seps
-    xword = cells[:, 3]
+    np.bitwise_or(words.T.reshape(-1, columns, 3),
+                  np.take(_float_text(), layout.reshape(-1, columns), axis=0), out=cells[..., :3])
+    xword = cells[..., 3]
+    xword[...] = [ord(",")] * (columns - 1) + [ord("\n")]
     e = np.flatnonzero(expo & ok)
     if e.size:
         x = decpt[e] - 1
@@ -235,22 +236,23 @@ def _float_cells(values: np.ndarray, seps: np.ndarray) -> np.ndarray:
                           ax // np.uint64(10) | (ax % np.uint64(10)) << np.uint64(8))
         digits |= np.where(three, np.uint64(0x303030), np.uint64(0x3030))
         sign = np.where(x < 0, np.uint64(ord("-")), np.uint64(ord("+")))
-        xword[e] = (np.uint64(ord("e")) | sign << np.uint64(8) | digits << np.uint64(16)
-                    | xword[e] << (np.uint64(32) + np.uint64(8) * three))
+        cell = np.divmod(e, columns)
+        xword[cell] = (np.uint64(ord("e")) | sign << np.uint64(8) | digits << np.uint64(16)
+                       | xword[cell] << (np.uint64(32) + np.uint64(8) * three))
     slow = np.flatnonzero(~ok)
     if slow.size:
         reprs = [repr(float(v)).encode("ascii") for v in values[slow]]
-        cells.view(np.uint8)[slow, :_TEXT] = np.array(reprs, dtype=f"S{_TEXT}").view(
+        row, column = np.divmod(slow, columns)
+        cells.view(np.uint8)[row, column, :_TEXT] = np.array(reprs, dtype=f"S{_TEXT}").view(
             np.uint8).reshape(slow.size, _TEXT)
-    return cells
 
 
-def _index_cells(first: int, count: int) -> np.ndarray:
-    """The cells of the row numbers first, first + 1, ..., each followed
-    by a comma: as many words as the last number's digits and its comma
-    need."""
+def _index_cells(first: int, cells: np.ndarray) -> None:
+    """Write the row numbers first, first + 1, ..., each followed by a
+    comma, into the (rows, width) ``cells``: ``width`` words hold the last
+    number's digits and its comma."""
+    count, width = cells.shape
     low, high = len(str(first)), len(str(first + count - 1))
-    width = high // 8 + 1
     nd = np.full(count, low, dtype=np.int64)
     for digits in range(low, high):
         nd[10**digits - first:] += 1
@@ -261,20 +263,22 @@ def _index_cells(first: int, count: int) -> np.ndarray:
     for word in range(1, width):
         words[-1 - word] = q // (10**7 * 10 ** (8 * word - 8)) % 10**8
     _digit_bytes(words)
-    return words.T | np.take(_index_text(width), nd - 1, axis=0)
+    np.bitwise_or(words.T, np.take(_index_text(width), nd - 1, axis=0), out=cells)
 
 
 def _block(columns: list[np.ndarray], first_index: int | None) -> bytes:
     """CSV rows of equal-length float columns, each row ending in a
     newline and, with ``first_index``, starting with its row number.
 
-    The float fields are formatted in one pass, row by row."""
+    Each row's cells lie in one buffer, the index cell first; the float
+    fields are formatted in one pass, row by row."""
     rows = columns[0].size
-    seps = np.full(len(columns), ord(","), dtype=np.uint64)
-    seps[-1] = ord("\n")
-    cells = _float_cells(np.stack(columns, axis=1).ravel(), seps).reshape(rows, -1)
-    if first_index is not None:
-        cells = np.concatenate((_index_cells(first_index, rows), cells), axis=1)
+    width = 0 if first_index is None else len(str(first_index + rows - 1)) // 8 + 1
+    cells = np.empty((rows, width + 4 * len(columns)), dtype="<u8")
+    if width:
+        _index_cells(first_index, cells[:, :width])
+    _float_cells(np.stack(columns, axis=1).ravel(),
+                 cells[:, width:].reshape(rows, len(columns), 4))
     text = cells.view(np.uint8).ravel()
     return text[text != 0].tobytes()
 

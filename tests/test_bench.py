@@ -17,7 +17,9 @@ from stochord import (
     counterexample_probe,
     run_scenario,
 )
-from stochord.bench import _SCENARIOS
+from stochord.bench import _SCENARIOS, _stack
+from stochord.models import GompertzMakeham
+from stochord.orders import certify_rows
 from stochord.montecarlo import _stream
 
 
@@ -122,9 +124,36 @@ class TestPinnedCurves:
         assert report.all_passed
         assert np.all(report.curve.diff >= -1e-10)
 
-    def test_aggregate_curve_orders_survivals(self):
+    def test_lowered_rate_sum_curve_orders_survivals(self):
         report = run_scenario(TheoremScenario("T4.4", count=1, seed=0))
         assert np.all(report.curve.diff >= -1e-9)
+
+
+class TestSumInvariance:
+    """T4.4's judge compares the series survival of two rate vectors with one
+    exact sum; a sum off by one 2^-20 step must fail it."""
+
+    @staticmethod
+    def _judge(shift):
+        scenario = TheoremScenario("T4.4", count=1, seed=0)
+        draw = _SCENARIOS["T4.4"].draw(scenario, _stream(0, 0), 0, None)
+        systems = [params.copy() for params in draw.systems]
+        systems[1][2, 0] += shift
+        xs = run_scenario(scenario).curve.x
+        values = _stack(GompertzMakeham, "series", systems).sf(np.tile(xs, (3, 1)))
+        verdicts = certify_rows("st", [values[0]], [values[2]], [xs],
+                                tolerance=scenario.tolerance)
+        return draw.judge(verdicts, values), values
+
+    def test_equal_sums_pass(self):
+        assert self._judge(0.0)[0] == (True, "")
+
+    def test_sum_off_by_one_dyadic_step_fails(self):
+        (ok, detail), values = self._judge(2.0**-20)
+        assert not ok
+        assert "not sum-invariant" in detail
+        # the survival ratio is exp(-2^-20 x), about 1e-6 x off
+        assert np.abs(values[1] / values[0] - 1.0).max() > 1e-7
 
 
 class TestSummaryLines:
@@ -169,9 +198,7 @@ class TestProbes:
 
 
 class TestMatchesSinglePair:
-    # every id but T4.4, whose exported curve is the aggregate survival
-    # functions rather than a verdict's
-    @pytest.mark.parametrize("scenario_id", [s for s in SCENARIO_IDS if s != "T4.4"])
+    @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
     @pytest.mark.parametrize("seed", range(5))
     def test_exported_curve_is_the_single_pair_verdicts(self, scenario_id, seed):
         scenario = TheoremScenario(scenario_id, count=6, seed=seed)

@@ -377,7 +377,7 @@ class TestGoldenBytes:
         ("T4.1", "87850b7032065d5052d9dc82eee464423bd276ff54176d0ea9076f28050266b7"),
         ("T4.2", "d5cd188617de2b18a9b94c3b39f03bd378051b21bcdb8bc28a5e6f457d19729a"),
         ("T4.3", "61d3ef17efeaad29bef2478293eea731c3bf98016790f68b643450ca624ecf6c"),
-        ("T4.4", "6c6fc747e77a7497bd4c1102bb4be4442fd2e1968c3c298e463c8e376f943b04"),
+        ("T4.4", "0d715b1db66d1d02983a0206ec634c446831d8d2aea5ae0aac14ff2e376c31b7"),
         ("T4.5", "9ea4a0965f61f56fbc4f01058281291e2160fc4b3d9404105f8916a12762f17c"),
     ])
     def test_theorem_curves(self, capsys, tmp_path, scenario, digest):
