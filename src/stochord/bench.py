@@ -56,11 +56,12 @@ A scenario runs as one batch, in three phases:
    three), evaluated on one stack of (S, 3, n) parameter arrays. For
    nonincreasing survivals that search ends exactly at the largest of the
    systems' own tail points.
-3. Build the grids and certify: draws of one component count are taken
-   in blocks of at most 8 systems (at the default 2048 grid points), each
-   system is evaluated on its draw's grid row through one SystemStack,
-   ``orders.certify_rows`` judges every pair row by row, and each draw's
-   judge reads its verdicts and those rows.
+3. Build every draw's grid row in one ``grid_points`` call, then
+   certify: draws of one component count are taken in blocks of at most
+   8 systems (at the default 2048 grid points), each system is evaluated
+   on its draw's grid row through one SystemStack, ``orders.certify_rows``
+   judges all of a block's pairs in one pass of array operations, and
+   each draw's judge reads its verdicts and those rows.
 
 The report is assembled in index order. Each row of every phase is
 bit-identical to evaluating, searching and certifying that instance on
@@ -452,12 +453,11 @@ def _certify_block(scenario: TheoremScenario, spec: _Scenario, draws: list[_Draw
     sizes = [len(d.systems) for d in draws]
     starts = np.cumsum([0] + sizes[:-1])
     stack = _stack(spec.family, spec.structure, [p for d in draws for p in d.systems])
-    xs = np.repeat(grids, sizes, axis=0)
-    values = getattr(stack, _QUANTITY[spec.order])(xs)
-    # (row of the lower system, row of the upper one, grid) of every pair
-    rows = [(s + i, s + j, g) for d, s, g in zip(draws, starts, grids) for i, j in d.pairs]
-    verdicts = iter(certify_rows(spec.order, [values[a] for a, _, _ in rows],
-                                 [values[b] for _, b, _ in rows], [g for _, _, g in rows],
+    values = getattr(stack, _QUANTITY[spec.order])(np.repeat(grids, sizes, axis=0))
+    # the row of the lower system, of the upper one and of the grid of every pair
+    lo, hi, g = np.array([(s + i, s + j, k) for k, (d, s) in enumerate(zip(draws, starts))
+                          for i, j in d.pairs]).T
+    verdicts = iter(certify_rows(spec.order, values[lo], values[hi], grids[g],
                                  tolerance=scenario.tolerance))
     return [([next(verdicts) for _ in d.pairs], values[s:s + size])
             for d, s, size in zip(draws, starts, sizes)]
@@ -471,15 +471,15 @@ def _run(scenario: TheoremScenario, disabled: str | None) -> BenchReport:
     # 2. one row-wise tail search per component count sets every grid end
     groups = _by_width(draws)
     x_max = _grid_ends(spec, draws, groups)
-    # 3. certify blocks of systems on their grid rows
+    # 3. build every grid, then certify blocks of systems on their grid rows
+    grids = grid_points(x_max, scenario.grid_count, span_decades=spec.span_decades)
     outcomes: list = [None] * scenario.count
     curve = None
     for block in _blocks(draws, groups, max(1, _SLAB_CELLS // scenario.grid_count)):
-        grids = grid_points(x_max[block], scenario.grid_count, span_decades=spec.span_decades)
-        certified = _certify_block(scenario, spec, [draws[k] for k in block], grids)
+        certified = _certify_block(scenario, spec, [draws[k] for k in block], grids[block])
         for k, (verdicts, values) in zip(block, certified):
             ok, detail = draws[k].judge(verdicts, values)
-            # the worst verdict's figures only: its curve holds slab rows
+            # the worst verdict's figures only: its curve holds rows of the block's arrays
             worst = min(verdicts, key=lambda v: v.margin)
             outcomes[k] = (ok, detail, worst.margin, worst.witness_x)
             if k == 0:

@@ -372,15 +372,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("STOCHORD_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"STOCHORD_SEED must be an integer, got {env!r}")
+    """--seed, else STOCHORD_SEED, else 0; either source must be a non-negative integer."""
+    source, seed = "--seed", flag_value
+    if seed is None:
+        source, env = "STOCHORD_SEED", os.environ.get("STOCHORD_SEED")
+        if env is None:
+            return 0
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ConfigError(f"STOCHORD_SEED must be an integer, got {env!r}")
+    if seed < 0:
+        raise ConfigError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def main(argv: list[str] | None = None) -> int:

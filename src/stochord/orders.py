@@ -151,91 +151,72 @@ class OrderVerdict:
         return _METHODS[self.order]
 
 
-def _default_tolerance(scale: float) -> float:
-    return max(1e-9, 1e-7 * scale)
-
-
-def _finite_scale(*values: np.ndarray) -> float:
-    """Largest finite |value| across the arrays, the default tolerance's scale."""
-    return max(float(np.max(np.abs(v), where=np.isfinite(v), initial=1e-300))
-               for v in values)
-
-
-def _finish(
-    order: str,
-    slack: np.ndarray,
-    witness_pool: np.ndarray,
-    tolerance: float | None,
-    scaled: tuple[np.ndarray, ...],
-    curve: Curve,
-) -> OrderVerdict:
-    """Judge the slack on the whole grid; points where it is not finite are excluded and truncate.
-
-    Without an explicit tolerance, the default is scaled by the largest
-    finite |value| of the ``scaled`` arrays.
-    """
-    finite = np.isfinite(slack)
-    truncated = not finite.all()
-    if truncated:
-        slack, witness_pool = slack[finite], witness_pool[finite]
-    if slack.size == 0:
-        raise EvaluationDomainError(f"no grid point has a finite {order} slack")
-    tol = _default_tolerance(_finite_scale(*scaled)) if tolerance is None else float(tolerance)
-    worst = int(np.argmin(slack))
-    margin = float(slack[worst])
-    holds = margin >= -tol
-    return OrderVerdict(
-        order=order,
-        holds=holds,
-        margin=margin,
-        tolerance=tol,
-        witness_x=None if holds else float(witness_pool[worst]),
-        grid_count=int(witness_pool.size),
-        truncated=truncated,
-        curve=curve,
-    )
-
-
-def _judge(order: str, f_values: np.ndarray, g_values: np.ndarray, xs: np.ndarray,
-           tolerance: float | None) -> OrderVerdict:
-    """Judge f <= g on one row of sf (st), hazard (hr), reversed hazard (rh) or pdf (lr).
-
-    hr needs r_f >= r_g, st and rh f's value <= g's, and lr a log pdf ratio
-    that never decreases. Past the support two hazards may both be inf, an
-    undefined reversed hazard is NaN and a zero density has log -inf;
-    _finish excludes the slack there, which the curve keeps.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if order == "lr":
-            log_f, log_g = np.log(f_values), np.log(g_values)
-            ratio = log_g - log_f
-            slack = np.diff(ratio)
-            return _finish(order, slack, xs[1:], tolerance, (ratio,),
-                           Curve(xs, log_f, log_g, np.concatenate([[0.0], slack])))
-        if order == "rh":  # a reversed hazard undefined on either side is undefined on both
-            undefined = np.isnan(f_values) | np.isnan(g_values)
-            f_values, g_values = (np.where(undefined, np.nan, v) for v in (f_values, g_values))
-        slack = f_values - g_values if order == "hr" else g_values - f_values
-    return _finish(order, slack, xs, tolerance, (f_values, g_values),
-                   Curve(xs, f_values, g_values, slack))
-
-
 def certify_rows(order: str, f_values, g_values, points,
                  tolerance: float | None = None) -> list[OrderVerdict]:
     """Certify f <= g in any of the four orders for many rows of evaluated values at once.
 
     Row r of ``f_values`` and ``g_values`` holds the two sides' sf (st),
     hazard (hr), reversed hazard (rh) or pdf (lr) on row r of ``points``;
-    each may be an (R, G) array or a sequence of R rows, and all three hold
-    the same number of rows. Mark a point where a value is undefined, such
-    as a reversed hazard where a component cdf is 0, with NaN: its slack is
-    then not finite and the verdict excludes it. The single-pair
-    certifiers are this function on one row.
+    each is an (R, G) array or a sequence of R rows of one length G, and
+    all three hold the same number of rows. Rows of unequal length raise
+    ValueError, and zero rows give []. The single-pair certifiers are
+    this function on one row.
+
+    hr needs r_f >= r_g, st and rh f's value <= g's, and lr a log pdf ratio
+    that never decreases. Mark a point where a value is undefined, such as
+    a reversed hazard where a component cdf is 0, with NaN; past the
+    support two hazards may both be inf, and a zero density has log -inf.
+    The slack there is not finite, so the verdict excludes it and is
+    truncated, while the curve keeps it. Without an explicit tolerance, a
+    row's is max(1e-9, 1e-7 s), where s is the largest finite |value| of
+    its two sides (of its log ratio for lr).
+
+    Every row is judged in one pass of (R, G) array operations; only each
+    row's OrderVerdict and Curve are built one at a time.
     """
     if order not in ORDERS:
         raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
-    return [_judge(order, np.asarray(f), np.asarray(g), xs, tolerance)
-            for f, g, xs in zip(f_values, g_values, points, strict=True)]
+    f, g, xs = (np.asarray(a, dtype=float) for a in (f_values, g_values, points))
+    if not len(f) == len(g) == len(xs):
+        raise ValueError("f_values, g_values and points must hold the same number of rows")
+    if len(f) == 0:
+        return []
+    if f.ndim != 2 or not f.shape == g.shape == xs.shape:
+        raise ValueError("f_values, g_values and points must each hold rows of one length")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if order == "lr":
+            lhs, rhs = np.log(f), np.log(g)
+            ratio = rhs - lhs
+            diff = np.zeros_like(ratio)
+            slack = np.subtract(ratio[:, 1:], ratio[:, :-1], out=diff[:, 1:])
+            pool, scaled = xs[:, 1:], (ratio,)
+        else:
+            if order == "rh":  # a reversed hazard undefined on either side is undefined on both
+                undefined = np.isnan(f) | np.isnan(g)
+                f, g = (np.where(undefined, np.nan, v) for v in (f, g))
+            lhs, rhs = f, g
+            diff = slack = f - g if order == "hr" else g - f
+            pool, scaled = xs, (f, g)
+    finite = np.isfinite(slack)
+    counts = finite.sum(axis=1)
+    if not counts.all():
+        raise EvaluationDomainError(f"no grid point has a finite {order} slack")
+    worst = np.where(finite, slack, np.inf).argmin(axis=1)
+    rows = np.arange(len(slack))
+    margins = slack[rows, worst]
+    if tolerance is None:
+        scale = reduce(np.maximum, [np.max(np.abs(v), axis=1, where=np.isfinite(v), initial=1e-300)
+                                    for v in scaled])
+        tols = np.maximum(1e-9, 1e-7 * scale)
+    else:
+        tols = np.full(len(slack), float(tolerance))
+    holds = margins >= -tols
+    return [OrderVerdict(order=order, holds=h, margin=m, tolerance=t,
+                         witness_x=None if h else w, grid_count=c,
+                         truncated=c < slack.shape[1], curve=Curve(*curve))
+            for h, m, t, w, c, *curve in zip(holds.tolist(), margins.tolist(), tols.tolist(),
+                                             pool[rows, worst].tolist(), counts.tolist(),
+                                             xs, lhs, rhs, diff)]
 
 
 def _certify(order: str, f, g, grid: Grid | None, tolerance: float | None) -> OrderVerdict:

@@ -309,6 +309,28 @@ class TestSeedResolution:
                            "--beta", "1", "--lambda", "1", "--n", "10")
         assert code == 2 and "STOCHORD_SEED" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--family", "gm", "--alpha", "1", "--beta", "1", "--lambda", "1",
+         "--n", "10", "--seed", "-1"),
+        ("verify-theorem", "T3.1", "--count", "2", "--seed", "-3"),
+    ], ids=["sample", "verify-theorem"])
+    def test_negative_seed_flag_is_named(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2 and "--seed must be a non-negative integer" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--family", "gm", "--alpha", "1", "--beta", "1", "--lambda", "1", "--n", "10"),
+        ("verify-theorem", "T3.1", "--count", "2"),
+    ], ids=["sample", "verify-theorem"])
+    def test_negative_env_seed_is_named(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.setenv("STOCHORD_SEED", "-3")
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2 and "STOCHORD_SEED must be a non-negative integer" in err
+        # a valid flag still takes precedence over the variable
+        code, out, _ = run(capsys, *argv, "--seed", "0", "--out", str(tmp_path))
+        assert code in (0, 3) and ("seed 0" in out or "seed: 0" in out)
+
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()

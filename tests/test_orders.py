@@ -32,7 +32,7 @@ from stochord import (
     reversed_hazard_weight,
     schur_condition_check,
 )
-from stochord.orders import certify_rows, grid_points
+from stochord.orders import _QUANTITY, certify_rows, grid_points
 
 # shared-shape pair: the larger alpha is smaller in every order
 SMALLER = WeibullG(2.0, 2.0, 1.0)
@@ -296,6 +296,37 @@ class TestRows:
             for name in ("x", "lhs", "rhs", "diff"):
                 assert _same(getattr(row.curve, name), getattr(single.curve, name))
 
+    @given(st.lists(st.tuples(_system_pairs(STRUCTURES), st.sampled_from([None, 50.0]),
+                              st.sets(st.integers(0, 63), max_size=3),
+                              st.sampled_from([np.nan, np.inf, -np.inf])),
+                    min_size=1, max_size=5),
+           st.sampled_from(ORDERS), st.sampled_from([None, 1e-9]))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_of_different_pairs_match_their_one_row_calls(self, batch, order, tolerance):
+        # each row is its own pair on its own grid; x_max = 50 runs past the
+        # support, and the spoiled points put NaN or inf into the lower side
+        rows, clean = [], []
+        for (f, g), x_max, spoiled, bad in batch:
+            xs = Grid.for_models(f, g, count=64, x_max=x_max).points
+            f_row, g_row = (getattr(d._stack, _QUANTITY[order])(xs) for d in (f, g))
+            f_row[sorted(spoiled)] = bad
+            rows.append((f_row, g_row, xs))
+            clean.append(None if spoiled else (f, g, Grid(points=xs)))
+        try:
+            singles = [certify_rows(order, [f_row], [g_row], [xs], tolerance)[0]
+                       for f_row, g_row, xs in rows]
+        except EvaluationDomainError:
+            with pytest.raises(EvaluationDomainError):
+                certify_rows(order, *zip(*rows), tolerance=tolerance)
+            return
+        verdicts = certify_rows(order, *map(np.stack, zip(*rows)), tolerance=tolerance)
+        assert verdicts == singles
+        for verdict, single, pair in zip(verdicts, singles, clean):
+            for name in ("x", "lhs", "rhs", "diff"):
+                assert _same(getattr(verdict.curve, name), getattr(single.curve, name))
+            if pair is not None:
+                assert verdict == certify(order, *pair[:2], grid=pair[2], tolerance=tolerance)
+
     def test_rows_marked_nan_where_a_cdf_is_zero_match_certify_rh(self):
         # the property test's grids never reach a zero cdf; this one starts where both are 0
         xs = np.geomspace(1e-200, 1.0, 32)
@@ -335,6 +366,32 @@ class TestRows:
             certify_rows("st", [np.ones(16), np.ones(16)], [np.ones(16)], [xs, xs])
         with pytest.raises(ValueError):
             certify_rows("st", [np.ones(16)], [np.ones(16)], [xs, xs])
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_one_excluded_point_truncates(self, order):
+        # an undefined first point leaves one slack point out: lr's first increment
+        xs = np.geomspace(0.1, 1.0, 16)
+        f_row, g_row = np.ones(16), np.ones(16)
+        f_row[0] = np.nan
+        [verdict] = certify_rows(order, [f_row], [g_row], [xs])
+        assert verdict.truncated and verdict.holds
+        assert verdict.grid_count == (14 if order == "lr" else 15)
+
+    def test_ragged_rows_raise(self):
+        xs, longer = np.linspace(0.1, 1.0, 16), np.linspace(0.1, 1.0, 17)
+        with pytest.raises(ValueError):
+            certify_rows("st", [np.ones(16), np.ones(17)], [np.ones(16), np.ones(17)],
+                         [xs, longer])
+        with pytest.raises(ValueError):
+            certify_rows("hr", [np.ones(16)], [np.ones(17)], [xs])
+        with pytest.raises(ValueError):
+            certify_rows("lr", [np.ones(17)], [np.ones(17)], [xs])
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_zero_rows_give_no_verdicts(self, order):
+        assert certify_rows(order, [], [], []) == []
+        empty = np.empty((0, 16))
+        assert certify_rows(order, empty, empty, empty, tolerance=1e-9) == []
 
 
 class TestCurve:
