@@ -49,13 +49,11 @@ A scenario runs as one batch, in three phases:
    with ``SeedSequence((seed, index))``, in the same draw order as a
    single instance would use. A draw holds its systems as (3, n)
    parameter rows and the pairs of systems its claim orders.
-2. Find every grid end by the ``Grid.for_models`` rule, in one row-wise
-   tail search per component count: each row is one draw, and its
-   survival is the pointwise maximum of the sf of its tail systems (both
-   ends of a chain, both systems of a pair, only the first of T4.4's
-   three), evaluated on one stack of (S, 3, n) parameter arrays. For
-   nonincreasing survivals that search ends exactly at the largest of the
-   systems' own tail points.
+2. Find every grid end by the ``Grid.for_models`` rule, the largest of
+   the tail points of a draw's tail systems (both ends of a chain, both
+   systems of a pair, only the first of T4.4's three), in one row-wise
+   tail search per component count: each row is one tail system,
+   evaluated on one stack of (S, 3, n) parameter arrays.
 3. Build every draw's grid row in one ``grid_points`` call, then
    certify: draws of one component count are taken in blocks of at most
    8 systems (at the default 2048 grid points), each system is evaluated
@@ -94,6 +92,8 @@ EXAMPLE_WG_BETA = 3.0
 EXAMPLE_GM_LAM = 1.0
 _SWEEP_LAMS = (0.1, 1.0, 10.0)
 _SWEEP_TOL = 1e-12
+# the tolerance every bench verdict is judged against
+_TOLERANCE = 1e-9
 _RH_SPAN_DECADES = 2.5
 _DYADIC = 2.0**20
 # grid cells evaluated together: blocks of 8 systems at the default 2048
@@ -110,7 +110,6 @@ class TheoremScenario:
     count: int = 200
     seed: int = 0
     grid_count: int = _DEFAULT_COUNT
-    tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.scenario_id not in _SCENARIOS:
@@ -212,7 +211,6 @@ def _holds_or(detail: str):
 
 
 def _draw_hr_chain(
-    scenario: TheoremScenario,
     rng: np.random.Generator,
     index: int,
     disabled: str | None,
@@ -268,8 +266,7 @@ def _rate_sweep_deviation(source: np.ndarray, transformed: np.ndarray, xs: np.nd
     return float(np.ptp(gaps, axis=0).max())
 
 
-def _draw_rh_parallel(scenario: TheoremScenario, rng: np.random.Generator, index: int,
-                      disabled: str | None) -> _Draw:
+def _draw_rh_parallel(rng: np.random.Generator, index: int, disabled: str | None) -> _Draw:
     n = int(rng.integers(2, 6))
     beta = float(rng.uniform(0.5, 4.0))
     gamma = float(rng.uniform(0.5, 5.0))
@@ -278,8 +275,8 @@ def _draw_rh_parallel(scenario: TheoremScenario, rng: np.random.Generator, index
                  _holds_or("reversed hazard order violated"))
 
 
-def _draw_st_parallel(scenario: TheoremScenario, rng: np.random.Generator, index: int,
-                      disabled: str | None, beta_hi: float) -> _Draw:
+def _draw_st_parallel(rng: np.random.Generator, index: int, disabled: str | None,
+                      beta_hi: float) -> _Draw:
     n = int(rng.integers(2, 6))
     pair = generate_hypothesis_pair(n, "weak_super", rng=rng)
     alpha = float(rng.uniform(0.5, 5.0))
@@ -294,8 +291,7 @@ def _dyadic(values: np.ndarray) -> np.ndarray:
     return np.maximum(np.round(values * _DYADIC) / _DYADIC, 1.0 / _DYADIC)
 
 
-def _draw_lambda_aggregate(scenario: TheoremScenario, rng: np.random.Generator, index: int,
-                           disabled: str | None) -> _Draw:
+def _draw_lambda_aggregate(rng: np.random.Generator, index: int, disabled: str | None) -> _Draw:
     """Systems 0 and 1 have rate vectors of one exact dyadic sum, system 2 a
     smaller sum; the pair (0, 2) is judged in the usual order.
 
@@ -350,7 +346,7 @@ class _Scenario(NamedTuple):
     family: type
     structure: str
     order: str
-    draw: Callable[[TheoremScenario, np.random.Generator, int, str | None], _Draw]
+    draw: Callable[[np.random.Generator, int, str | None], _Draw]
     span_decades: float = _SPAN_DECADES
 
 
@@ -409,22 +405,19 @@ def _by_width(draws: list[_Draw]) -> list[list[int]]:
 
 
 def _grid_ends(spec: _Scenario, draws: list[_Draw], groups: list[list[int]]) -> np.ndarray:
-    """Each draw's grid end by the Grid.for_models rule: one tail search over
-    the pointwise maximum of its tail systems' sf, a row per draw.
+    """Each draw's grid end by the Grid.for_models rule: the largest tail
+    point of its tail systems.
 
-    The draws of one component count are searched together.
+    The tail systems of the draws of one component count are searched
+    together, a row per system.
     """
     x_max = np.empty(len(draws))
     for ks in groups:
         tails = [[draws[k].systems[i] for i in draws[k].tail] for k in ks]
         sizes = [len(t) for t in tails]
-        starts = np.cumsum([0] + sizes[:-1])
         stack = _stack(spec.family, spec.structure, [p for t in tails for p in t])
-
-        def sf(x):
-            return np.maximum.reduceat(stack.sf(np.repeat(x, sizes, axis=0)), starts, axis=0)
-
-        x_max[ks] = _support_upper(sf, _TAIL, rows=len(ks))
+        ends = _support_upper(stack.sf, _TAIL, rows=sum(sizes))
+        x_max[ks] = np.maximum.reduceat(ends, np.cumsum([0] + sizes[:-1]))
     return x_max
 
 
@@ -445,7 +438,7 @@ def _blocks(draws: list[_Draw], groups: list[list[int]], rows: int):
         yield block
 
 
-def _certify_block(scenario: TheoremScenario, spec: _Scenario, draws: list[_Draw],
+def _certify_block(spec: _Scenario, draws: list[_Draw],
                    grids: np.ndarray) -> list[tuple[list[OrderVerdict], np.ndarray]]:
     """Evaluate the systems of draws sharing one component count on their
     grid rows, and certify every pair; returns each draw's verdicts and
@@ -457,8 +450,7 @@ def _certify_block(scenario: TheoremScenario, spec: _Scenario, draws: list[_Draw
     # the row of the lower system, of the upper one and of the grid of every pair
     lo, hi, g = np.array([(s + i, s + j, k) for k, (d, s) in enumerate(zip(draws, starts))
                           for i, j in d.pairs]).T
-    verdicts = iter(certify_rows(spec.order, values[lo], values[hi], grids[g],
-                                 tolerance=scenario.tolerance))
+    verdicts = iter(certify_rows(spec.order, values[lo], values[hi], grids[g], _TOLERANCE))
     return [([next(verdicts) for _ in d.pairs], values[s:s + size])
             for d, s, size in zip(draws, starts, sizes)]
 
@@ -466,7 +458,7 @@ def _certify_block(scenario: TheoremScenario, spec: _Scenario, draws: list[_Draw
 def _run(scenario: TheoremScenario, disabled: str | None) -> BenchReport:
     spec = _SCENARIOS[scenario.scenario_id]
     # 1. draw every instance, each from its own seeded generator
-    draws = [spec.draw(scenario, _stream(scenario.seed, index), index, disabled)
+    draws = [spec.draw(_stream(scenario.seed, index), index, disabled)
              for index in range(scenario.count)]
     # 2. one row-wise tail search per component count sets every grid end
     groups = _by_width(draws)
@@ -476,7 +468,7 @@ def _run(scenario: TheoremScenario, disabled: str | None) -> BenchReport:
     outcomes: list = [None] * scenario.count
     curve = None
     for block in _blocks(draws, groups, max(1, _SLAB_CELLS // scenario.grid_count)):
-        certified = _certify_block(scenario, spec, [draws[k] for k in block], grids[block])
+        certified = _certify_block(spec, [draws[k] for k in block], grids[block])
         for k, (verdicts, values) in zip(block, certified):
             ok, detail = draws[k].judge(verdicts, values)
             # the worst verdict's figures only: its curve holds rows of the block's arrays
@@ -496,7 +488,7 @@ def _run(scenario: TheoremScenario, disabled: str | None) -> BenchReport:
         count=scenario.count,
         seed=scenario.seed,
         grid_count=scenario.grid_count,
-        tolerance=scenario.tolerance,
+        tolerance=_TOLERANCE,
         passed=scenario.count - len(failures),
         worst_margin=float(min(margin for _, _, margin, _ in outcomes)),
         failures=failures,

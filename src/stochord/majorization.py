@@ -31,6 +31,9 @@ MAJORIZATION_KINDS = ("plain", "weak_sub", "weak_super")
 GENERATOR_KINDS = ("plain", "weak_sub", "weak_super", "chain")
 
 _RETRY_CAP = 100
+_TOL = 1e-12  # relative slack of the partial-sum and similar-ordering comparisons
+_STOCHASTIC_TOL = 1e-9  # absolute slack of doubly_stochastic_check's entries and sums
+_LOW, _HIGH = 0.5, 5.0  # the range generate_hypothesis_pair draws b from
 
 
 def _as_vector(v) -> np.ndarray:
@@ -52,8 +55,11 @@ def as_param_matrix(m) -> np.ndarray:
     return arr
 
 
-def majorize_check(a, b, kind: str = "plain", tol: float = 1e-12) -> bool:
+def majorize_check(a, b, kind: str = "plain") -> bool:
     """Test a majorization relation between two equal-length vectors.
+
+    Every partial-sum comparison allows a slack of 1e-12 times the larger
+    of 1 and either vector's absolute sum.
 
     Parameters
     ----------
@@ -61,15 +67,13 @@ def majorize_check(a, b, kind: str = "plain", tol: float = 1e-12) -> bool:
         Vectors of equal length.
     kind : str
         ``"plain"``, ``"weak_sub"``, or ``"weak_super"``.
-    tol : float
-        Relative slack applied to every partial-sum comparison.
     """
     av, bv = _as_vector(a), _as_vector(b)
     if av.shape != bv.shape:
         raise ValueError("vectors must have equal length")
     if kind not in MAJORIZATION_KINDS:
         raise ValueError(f"kind must be one of {MAJORIZATION_KINDS}, got {kind!r}")
-    atol = tol * max(1.0, float(np.abs(av).sum()), float(np.abs(bv).sum()))
+    atol = _TOL * max(1.0, float(np.abs(av).sum()), float(np.abs(bv).sum()))
     if kind == "weak_super":
         asc_a = np.cumsum(np.sort(av))
         asc_b = np.cumsum(np.sort(bv))
@@ -96,12 +100,12 @@ class MajorizationSummary:
         return (not self.plain) or (self.weak_sub and self.weak_super)
 
 
-def implication_suite(a, b, tol: float = 1e-12) -> MajorizationSummary:
+def implication_suite(a, b) -> MajorizationSummary:
     """Evaluate plain, weak_sub, and weak_super for one ordered pair."""
     return MajorizationSummary(
-        plain=majorize_check(a, b, "plain", tol),
-        weak_sub=majorize_check(a, b, "weak_sub", tol),
-        weak_super=majorize_check(a, b, "weak_super", tol),
+        plain=majorize_check(a, b, "plain"),
+        weak_sub=majorize_check(a, b, "weak_sub"),
+        weak_super=majorize_check(a, b, "weak_super"),
     )
 
 
@@ -187,24 +191,22 @@ def chain_majorize_solve_2x2(a, b) -> float | None:
     return float(lam)
 
 
-def doubly_stochastic_check(q, tol: float = 1e-9) -> bool:
-    """True when q is square, nonnegative, with unit row and column sums."""
+def doubly_stochastic_check(q) -> bool:
+    """True when q is square, nonnegative, with unit row and column sums, each to 1e-9."""
     arr = np.asarray(q, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         return False
-    if not np.all(np.isfinite(arr)) or np.any(arr < -tol):
+    if not np.all(np.isfinite(arr)) or np.any(arr < -_STOCHASTIC_TOL):
         return False
-    ones = np.ones(arr.shape[0])
-    return bool(
-        np.allclose(arr.sum(axis=0), ones, atol=tol) and np.allclose(arr.sum(axis=1), ones, atol=tol)
-    )
+    return all(np.allclose(arr.sum(axis=k), 1.0, atol=_STOCHASTIC_TOL) for k in (0, 1))
 
 
-def pn_membership(m, tol: float = 1e-12) -> bool:
+def pn_membership(m) -> bool:
     """True when the 2 x n matrix is positive with similarly ordered rows.
 
     Similarly ordered: (a_i - a_j)(b_i - b_j) >= 0 for every column pair,
-    ties included. Matrices that are not 2 x n positive are not members.
+    ties included, to a slack of 1e-12 max(1, max |a|) max(1, max |b|).
+    Matrices that are not 2 x n positive are not members.
     """
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != 2 or arr.shape[1] < 1:
@@ -214,7 +216,7 @@ def pn_membership(m, tol: float = 1e-12) -> bool:
     a, b = arr
     da = a[:, None] - a[None, :]
     db = b[:, None] - b[None, :]
-    atol = tol * max(1.0, float(np.abs(a).max())) * max(1.0, float(np.abs(b).max()))
+    atol = _TOL * max(1.0, float(np.abs(a).max())) * max(1.0, float(np.abs(b).max()))
     return bool(np.all(da * db >= -atol))
 
 
@@ -242,8 +244,6 @@ def generate_hypothesis_pair(
     n: int,
     kind: str,
     seed: int | None = None,
-    low: float = 0.5,
-    high: float = 5.0,
     min_transforms: int = 1,
     max_transforms: int = 3,
     anti_ordered: bool = False,
@@ -251,7 +251,7 @@ def generate_hypothesis_pair(
 ) -> GeneratedPair:
     """Generate a random pair certified to satisfy the requested relation.
 
-    Construction. ``b`` is sampled uniformly from [low, high] (rows sorted
+    Construction. ``b`` is sampled uniformly from [0.5, 5] (rows sorted
     ascending for matrices, so b is in P_n). Vector kinds average random
     coordinate pairs to get c < b, then rescale: c (plain), (1-d) c
     (weak_sub), (1+d) c (weak_super) with d in (0.05, 0.3). The chain
@@ -272,11 +272,11 @@ def generate_hypothesis_pair(
     gen = rng if rng is not None else np.random.default_rng(seed)
 
     if kind == "chain":
-        raw = gen.uniform(low, high, size=(2, n))
+        raw = gen.uniform(_LOW, _HIGH, size=(2, n))
         b = (np.vstack([np.sort(raw[0]), np.sort(raw[1])[::-1]]) if anti_ordered
              else np.sort(raw, axis=1))
     else:
-        b = gen.uniform(low, high, size=n)
+        b = gen.uniform(_LOW, _HIGH, size=n)
     validate = kind == "chain" and not anti_ordered
     k = int(gen.integers(min_transforms, max_transforms + 1))
     steps = [b]

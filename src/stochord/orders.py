@@ -28,7 +28,6 @@ from functools import reduce
 import numpy as np
 
 from .errors import EvaluationDomainError
-from .models import _TAIL, _support_upper
 from .systems import SystemSpec
 
 ORDERS = ("st", "hr", "rh", "lr")
@@ -40,6 +39,8 @@ _QUANTITY = {"st": "sf", "hr": "hazard", "rh": "reversed_hazard", "lr": "pdf"}
 _MIN_GRID = 16
 _DEFAULT_COUNT = 2048
 _SPAN_DECADES = 4.0
+# schur_condition_check's relative difference step, sign band and permutation seed
+_SCHUR_STEP, _SCHUR_SLACK, _SCHUR_SEED = 1e-6, 1e-8, 0
 
 
 @dataclass(frozen=True)
@@ -72,21 +73,18 @@ class Grid:
         *dists,
         count: int = _DEFAULT_COUNT,
         x_max: float | None = None,
-        tail: float = _TAIL,
         span_decades: float = _SPAN_DECADES,
     ) -> "Grid":
         """Log-spaced grid over ``span_decades`` decades below x_max.
 
-        x_max defaults to the largest support_upper(tail) across the
-        given distributions, found by one search over the pointwise maximum
-        of their survival functions: for nonincreasing survivals it falls
-        to the tail exactly at the largest of their tail points.
+        x_max defaults to the largest of the given distributions' own
+        tail points, support_upper() at the 1e-6 tail: the point where the
+        pointwise maximum of their survival functions falls to the tail.
         """
         if x_max is None:
             if not dists:
                 raise ValueError("either distributions or x_max must be given")
-            x_max = float(_support_upper(
-                lambda x: reduce(np.maximum, [d.sf(x) for d in dists]), tail)[0])
+            x_max = max(d.support_upper() for d in dists)
         if not np.isfinite(x_max) or x_max <= 0.0:
             raise ValueError(f"x_max must be positive and finite, got {x_max!r}")
         return cls(points=grid_points(x_max, count, span_decades))
@@ -169,13 +167,16 @@ def certify_rows(order: str, f_values, g_values, points,
     The slack there is not finite, so the verdict excludes it and is
     truncated, while the curve keeps it. Without an explicit tolerance, a
     row's is max(1e-9, 1e-7 s), where s is the largest finite |value| of
-    its two sides (of its log ratio for lr).
+    its two sides (of its log ratio for lr). An explicit tolerance must be
+    finite and nonnegative, or ValueError is raised.
 
     Every row is judged in one pass of (R, G) array operations; only each
     row's OrderVerdict and Curve are built one at a time.
     """
     if order not in ORDERS:
         raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
+    if tolerance is not None and not (np.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     f, g, xs = (np.asarray(a, dtype=float) for a in (f_values, g_values, points))
     if not len(f) == len(g) == len(xs):
         raise ValueError("f_values, g_values and points must hold the same number of rows")
@@ -343,32 +344,26 @@ class SchurDiagnostics:
         return "neither"
 
 
-def schur_condition_check(
-    psi: Callable[[np.ndarray], float],
-    sample,
-    step_scale: float = 1e-6,
-    slack: float = 1e-8,
-    seed: int = 0,
-) -> SchurDiagnostics:
+def schur_condition_check(psi: Callable[[np.ndarray], float], sample) -> SchurDiagnostics:
     """Classify psi as Schur convex-consistent or concave-consistent on a sample.
+
+    The gradient is a central difference with a step of 1e-6 relative to
+    each coordinate (at least 1e-6), and the sign classification allows a
+    fixed absolute band of 1e-8, reported as ``slack``.
 
     Parameters
     ----------
     psi : callable
         Symmetric function of one vector; symmetry is spot-checked on a
-        random permutation of each sample point (1e-9 relative) and a
-        violation raises ValueError.
+        random permutation of each sample point (1e-9 relative, drawn
+        from a generator seeded with 0) and a violation raises ValueError.
     sample : array_like
         One point (n,) or a batch (m, n) of evaluation points.
-    step_scale : float
-        Relative step for the central-difference gradient.
-    slack : float
-        Absolute tolerance band for the sign classification.
     """
     pts = np.atleast_2d(np.asarray(sample, dtype=float))
     if pts.ndim != 2 or pts.shape[1] < 2:
         raise ValueError("sample must contain points with at least two coordinates")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SCHUR_SEED)
 
     n = pts.shape[1]
     lo = np.inf * np.ones((n, n))
@@ -381,7 +376,7 @@ def schur_condition_check(
             raise ValueError("psi is not symmetric under coordinate permutation")
         grad = np.empty(n)
         for k in range(n):
-            h = step_scale * max(1.0, abs(a[k]))
+            h = _SCHUR_STEP * max(1.0, abs(a[k]))
             up, down = a.copy(), a.copy()
             up[k] += h
             down[k] -= h
@@ -400,9 +395,9 @@ def schur_condition_check(
     worst_lo = min(p[2] for p in pairs)
     worst_hi = max(p[3] for p in pairs)
     return SchurDiagnostics(
-        convex_consistent=bool(worst_lo >= -slack),
-        concave_consistent=bool(worst_hi <= slack),
+        convex_consistent=bool(worst_lo >= -_SCHUR_SLACK),
+        concave_consistent=bool(worst_hi <= _SCHUR_SLACK),
         max_abs_margin=float(max(abs(worst_lo), abs(worst_hi))),
-        slack=float(slack),
+        slack=_SCHUR_SLACK,
         pair_margins=pairs,
     )

@@ -123,7 +123,9 @@ class SystemStack:
     def hazard(self, x: np.ndarray) -> np.ndarray:
         """Series: the component hazard sum. Parallel: pdf over sf."""
         if self.structure == "series":
-            return sum(hazard(x, *args) for _, hazard, args in self._columns)
+            # finite component hazards near 1e308 may sum to inf
+            with np.errstate(over="ignore"):
+                return sum(hazard(x, *args) for _, hazard, args in self._columns)
         # the density needs every component at once; the sf reuses them
         parts = list(self._parts(x))
         sf = self._sf(chf for chf, _ in parts)

@@ -44,7 +44,6 @@ MATRIX_ABS_TOL = 1e-12
 LAMBDA_TOL = 1e-9
 HAZARD_GAP_FLOOR = -1e-10
 SWEEP_ABS_TOL = 1e-12
-BENCH_TOLERANCE = 1e-9
 BENCH_COUNT = 200
 AGG_REL_TOL = 1e-15
 KS_MAX = 0.01
@@ -135,8 +134,7 @@ def test_c4_full_scenario_bench():
     bad = []
     for sid in SCENARIO_IDS:
         report = run_scenario(TheoremScenario(
-            scenario_id=sid, count=BENCH_COUNT, seed=0,
-            grid_count=2048, tolerance=BENCH_TOLERANCE))
+            scenario_id=sid, count=BENCH_COUNT, seed=0, grid_count=2048))
         if not report.all_passed:
             bad.append((sid, report.violation_count, report.worst_margin))
     elapsed = time.perf_counter() - t0

@@ -17,7 +17,7 @@ from stochord import (
     counterexample_probe,
     run_scenario,
 )
-from stochord.bench import _SCENARIOS, _stack
+from stochord.bench import _SCENARIOS, _TOLERANCE, _stack
 from stochord.models import GompertzMakeham
 from stochord.orders import certify_rows
 from stochord.montecarlo import _stream
@@ -135,14 +135,12 @@ class TestSumInvariance:
 
     @staticmethod
     def _judge(shift):
-        scenario = TheoremScenario("T4.4", count=1, seed=0)
-        draw = _SCENARIOS["T4.4"].draw(scenario, _stream(0, 0), 0, None)
+        draw = _SCENARIOS["T4.4"].draw(_stream(0, 0), 0, None)
         systems = [params.copy() for params in draw.systems]
         systems[1][2, 0] += shift
-        xs = run_scenario(scenario).curve.x
+        xs = run_scenario(TheoremScenario("T4.4", count=1, seed=0)).curve.x
         values = _stack(GompertzMakeham, "series", systems).sf(np.tile(xs, (3, 1)))
-        verdicts = certify_rows("st", [values[0]], [values[2]], [xs],
-                                tolerance=scenario.tolerance)
+        verdicts = certify_rows("st", [values[0]], [values[2]], [xs], tolerance=_TOLERANCE)
         return draw.judge(verdicts, values), values
 
     def test_equal_sums_pass(self):
@@ -203,13 +201,12 @@ class TestMatchesSinglePair:
     def test_exported_curve_is_the_single_pair_verdicts(self, scenario_id, seed):
         scenario = TheoremScenario(scenario_id, count=6, seed=seed)
         spec = _SCENARIOS[scenario_id]
-        draw = spec.draw(scenario, _stream(seed, 0), 0, None)
+        draw = spec.draw(_stream(seed, 0), 0, None)
         systems = [SystemSpec(tuple(spec.family(*map(float, column)) for column in params.T),
                               spec.structure) for params in draw.systems]
         grid = Grid.for_models(*(systems[i] for i in draw.tail), count=scenario.grid_count,
                                span_decades=spec.span_decades)
-        alone = certify(spec.order, systems[0], systems[-1], grid=grid,
-                        tolerance=scenario.tolerance).curve
+        alone = certify(spec.order, systems[0], systems[-1], grid=grid, tolerance=_TOLERANCE).curve
         batched = run_scenario(scenario).curve
         for field in ("x", "lhs", "rhs", "diff"):
             assert getattr(batched, field).tobytes() == getattr(alone, field).tobytes(), field

@@ -131,6 +131,16 @@ class TestCertifiers:
         assert verdict.tolerance == pytest.approx(1e-7, rel=1e-12)  # sf scale is 1
         custom = certify_st(SMALLER, LARGER, tolerance=1e-3)
         assert custom.tolerance == 1e-3
+        assert certify_st(SMALLER, LARGER, tolerance=0.0).tolerance == 0.0
+
+    @pytest.mark.parametrize("tolerance", [math.inf, -math.inf, math.nan, -1.0])
+    def test_explicit_tolerance_must_be_finite_and_nonnegative(self, tolerance):
+        # the quick-start pair, whose st slack is >= 0 everywhere: inf and nan
+        # would be reported as the tolerance, and -1 would fail with a witness
+        source = SystemSpec((WeibullG(4.8, 3.0, 2.5), WeibullG(3.4, 3.0, 1.6)), "series")
+        averaged = SystemSpec((WeibullG(4.03, 3.0, 2.005), WeibullG(4.17, 3.0, 2.095)), "series")
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            certify_st(source, averaged, tolerance=tolerance)
 
     def test_holds_iff_margin_within_tolerance(self):
         for order in ("st", "hr", "rh", "lr"):
@@ -182,23 +192,31 @@ def _distributions(draw):
 
 
 @st.composite
-def _grid_end_pairs(draw):
-    """Two independent distributions, or one and its equal or permuted copy."""
+def _grid_end_lifetimes(draw):
+    """One to three lifetimes: a first one, then independent ones or equal or
+    permuted copies of it."""
     first = draw(_distributions())
-    kind = draw(st.sampled_from(["independent", "equal", "permuted"]))
-    if kind == "independent":
-        return first, draw(_distributions())
-    if kind == "permuted" and isinstance(first, SystemSpec):
-        return first, SystemSpec(tuple(draw(st.permutations(first.components))), first.structure)
-    return first, copy.copy(first)
+    lifetimes = [first]
+    for kind in draw(st.lists(st.sampled_from(["independent", "equal", "permuted"]), max_size=2)):
+        if kind == "independent":
+            lifetimes.append(draw(_distributions()))
+        elif kind == "permuted" and isinstance(first, SystemSpec):
+            lifetimes.append(SystemSpec(tuple(draw(st.permutations(first.components))),
+                                        first.structure))
+        else:
+            lifetimes.append(copy.copy(first))
+    return lifetimes
 
 
 class TestJointGridEnd:
-    @given(_grid_end_pairs(), st.sampled_from([1e-6, 1e-12]))
+    @given(_grid_end_lifetimes())
     @settings(max_examples=150, deadline=None)
-    def test_grid_ends_at_the_largest_tail_point(self, dists, tail):
-        end = Grid.for_models(*dists, count=16, tail=tail).points[-1]
-        assert end == max(d.support_upper(tail) for d in dists)
+    def test_grid_ends_at_the_largest_tail_point(self, dists):
+        end = Grid.for_models(*dists, count=16).points[-1]
+        assert end == max(d.support_upper() for d in dists)
+        # where the pointwise maximum of the survivals falls to the tail
+        joint = [max(float(d.sf(x)) for d in dists) for x in (end, np.nextafter(end, 0.0))]
+        assert joint[0] <= 1e-6 < joint[1]
 
 
 class _Undefined:

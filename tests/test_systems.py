@@ -49,6 +49,12 @@ class TestSeries:
         assert_allclose(WG_SOURCE.hazard(0.3), 105.09919472726375, rtol=1e-13)
         assert_allclose(WG_TRANSFORMED.hazard(0.3), 67.69884106790015, rtol=1e-13)
 
+    def test_hazard_summing_past_float_range_is_inf(self):
+        # both component hazards are finite here and their sum is not; the
+        # overflow used to raise a RuntimeWarning
+        system = SystemSpec((WeibullG(1.0, 5.0, 4.375), WeibullG(3.0, 5.0, 4.375)), "series")
+        assert system.hazard(32.247333855188096) == np.inf
+
     def test_gompertz_makeham_hazard_gap(self):
         diff = GM_SOURCE.hazard(1.0) - GM_TRANSFORMED.hazard(1.0)
         assert_allclose(diff, 11.506034004599373, rtol=1e-12)
