@@ -117,6 +117,10 @@ class TheoremScenario:
                              f"known ids: {', '.join(SCENARIO_IDS)}")
         if self.count < 1:
             raise ValueError("count must be at least 1")
+        # a float would seed the streams as its integer part; a bool is an int
+        integer = isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
+        if not (integer and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.grid_count < _MIN_GRID:
             raise ValueError(f"grid_count must be at least {_MIN_GRID}, got {self.grid_count}")
 

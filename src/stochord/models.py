@@ -254,14 +254,15 @@ class _Derived:
         return _match(x, density(chf, np.asarray(self.hazard(xa))))
 
     def reversed_hazard(self, x):
-        """pdf(x) / cdf(x); undefined where the cdf is zero."""
+        """pdf(x) / cdf(x), both from one H(x); undefined where the cdf is zero."""
         xa = _as_array(x)
-        cdf = np.asarray(self.cdf(xa))
+        chf = np.asarray(self.cumulative_hazard(xa))
+        cdf = distribution(chf)
         if np.any(cdf == 0.0):
             raise EvaluationDomainError(
                 "reversed hazard undefined where cdf(x) = 0; evaluate at x > 0"
             )
-        return _match(x, np.asarray(self.pdf(xa)) / cdf)
+        return _match(x, density(chf, np.asarray(self.hazard(xa))) / cdf)
 
     def support_upper(self, tail: float = _TAIL) -> float:
         """Smallest bracketing x with sf(x) <= tail."""

@@ -7,11 +7,23 @@ parallel system fails at the last failure (the sample maximum), so its
 cdf is the product of component cdfs and its reversed hazard rate is the
 sum of component reversed hazards.
 
-Products are accumulated in log space: the series sf is
-exp(-sum of cumulative hazards) and the parallel cdf is
-exp(sum of log cdfs), which keeps deep-tail evaluations stable; the log
-cdfs come from log1mexp, so the parallel sf keeps its relative precision
-deep in the upper tail too.
+Each structure is described by two sums over its components, which read
+each component's cumulative hazard H_i and hazard h_i once: sum H_i and
+sum h_i for a series system, T = sum log F_i and the reversed-hazard sum
+R = sum f_i / F_i for a parallel one. Every quantity comes from them,
+through f = S sum h_i (series) and f = F R (parallel):
+
+    quantity          series                       parallel
+    sf                exp(-sum H_i)                -expm1(T)
+    cdf               -expm1(-sum H_i)             exp(T)
+    hazard            sum h_i                      pdf / sf
+    reversed hazard   pdf / cdf                    R
+    pdf               sum h_i exp(-sum H_i)        exp(log R + T)
+
+The log cdfs come from log1mexp, so the parallel sf keeps its relative
+precision deep in the upper tail. R is NaN where a component cdf is 0,
+and the parallel pdf is 0 there. No quantity evaluates a kernel it does
+not read.
 
 ``SystemStack`` evaluates S systems with the same component kinds at
 once on (S, m) points, one component at a time, from one (S, 3, n)
@@ -57,8 +69,7 @@ class SystemStack:
     one column: its family's two kernels and their arguments. Row s of the
     points and of every result belongs to system s. Each evaluator sums
     the columns one at a time, in order, over (S, m) arrays, so row s is
-    bit-identical to evaluating system s alone. Where a reversed hazard is
-    undefined (a component cdf of 0) it is NaN.
+    bit-identical to evaluating system s alone.
 
     A stack of one system passes its kernels float parameters, as the
     model methods do, and takes points of any shape: with (1, 1) columns
@@ -80,75 +91,73 @@ class SystemStack:
                 args = tuple(np.ascontiguousarray(params[:, p, i:i + 1]) for p in range(3))
             self._columns.append((chf, hazard, args + ((baseline,) if family is WeibullG else ())))
 
-    def _chfs(self, x: np.ndarray):
-        return (chf(x, *args) for chf, _, args in self._columns)
+    def _sums(self, x: np.ndarray, total: bool = True, rate: bool = True) -> tuple:
+        """The structure's two component sums, each kernel evaluated once.
 
-    def _parts(self, x: np.ndarray):
-        """(cumulative hazard, hazard) of each component in turn."""
-        return ((chf(x, *args), hazard(x, *args)) for chf, hazard, args in self._columns)
+        Series: (sum of H_i, sum of h_i). Parallel: (T = sum of log F_i,
+        sum of the component reversed hazards, NaN where a component cdf is
+        0). A sum not asked for is None, and no kernel that only it reads
+        is evaluated.
+        """
+        series = self.structure == "series"
+        # start at 0, not at the first term: 0 + -0.0 is 0.0, and the sign of
+        # T sets the sign of a zero parallel sf, which the CSV prints
+        totals = rates = 0
+        undefined = False
+        # finite component hazards near 1e308 may sum to inf; sf is then 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for chf_kernel, hazard_kernel, args in self._columns:
+                # a parallel system's reversed hazards read H_i too
+                chf = chf_kernel(x, *args) if total or not series else None
+                if total:
+                    totals = totals + (chf if series else log1mexp(chf))
+                if rate and series:
+                    rates = rates + hazard_kernel(x, *args)
+                elif rate:
+                    cdf = distribution(chf)
+                    undefined = undefined | (cdf == 0.0)
+                    rates = rates + density(chf, hazard_kernel(x, *args)) / cdf
+        if rate and not series:
+            rates = np.where(undefined, np.nan, rates)
+        return (totals if total else None), (rates if rate else None)
 
-    def _total(self, chfs) -> np.ndarray:
-        """Series: the summed cumulative hazards. Parallel: the summed log cdfs."""
+    def _density(self, totals: np.ndarray, rates: np.ndarray) -> np.ndarray:
         if self.structure == "series":
-            # finite component hazards near 1e308 may sum to inf; sf is then 0
-            with np.errstate(over="ignore"):
-                return sum(chfs)
-        return sum(log1mexp(chf) for chf in chfs)
-
-    def _sf(self, chfs) -> np.ndarray:
-        total = self._total(chfs)
-        return survival(total) if self.structure == "series" else -np.expm1(total)
-
-    def _cdf(self, chfs) -> np.ndarray:
-        total = self._total(chfs)
-        return distribution(total) if self.structure == "series" else np.exp(total)
-
-    def _pdf(self, parts) -> np.ndarray:
-        """Density by the leave-one-out product rule."""
-        pdfs, factors = [], []
-        for chf, haz in parts:
-            pdfs.append(density(chf, haz))
-            factors.append(survival(chf) if self.structure == "series" else distribution(chf))
-        others = _leave_one_out_products(factors)
-        with np.errstate(invalid="ignore"):
-            out = sum(f * rest for f, rest in zip(pdfs, others))
-        return np.nan_to_num(out, nan=0.0, posinf=np.inf)
+            return density(totals, rates)
+        # F times the reversed-hazard sum, in log form so that a cdf that
+        # underflows does not take the density with it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(np.isnan(rates), 0.0, np.exp(np.log(rates) + totals))
 
     def sf(self, x: np.ndarray) -> np.ndarray:
-        return self._sf(self._chfs(x))
+        totals, _ = self._sums(x, rate=False)
+        return survival(totals) if self.structure == "series" else -np.expm1(totals)
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        return self._cdf(self._chfs(x))
+        totals, _ = self._sums(x, rate=False)
+        return distribution(totals) if self.structure == "series" else np.exp(totals)
 
     def hazard(self, x: np.ndarray) -> np.ndarray:
         """Series: the component hazard sum. Parallel: pdf over sf."""
         if self.structure == "series":
-            # finite component hazards near 1e308 may sum to inf
-            with np.errstate(over="ignore"):
-                return sum(hazard(x, *args) for _, hazard, args in self._columns)
-        # the density needs every component at once; the sf reuses them
-        parts = list(self._parts(x))
-        sf = self._sf(chf for chf, _ in parts)
+            return self._sums(x, total=False)[1]
+        totals, rates = self._sums(x)
+        sf = -np.expm1(totals)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(sf > 0.0, self._pdf(parts) / sf, np.inf)
+            return np.where(sf > 0.0, self._density(totals, rates) / sf, np.inf)
 
     def reversed_hazard(self, x: np.ndarray) -> np.ndarray:
         """Parallel: the component reversed-hazard sum. Series: pdf over cdf."""
+        if self.structure == "parallel":
+            return self._sums(x, total=False)[1]
+        totals, rates = self._sums(x)
+        cdf = distribution(totals)
         with np.errstate(divide="ignore", invalid="ignore"):
-            if self.structure == "series":
-                parts = list(self._parts(x))
-                cdf = self._cdf(chf for chf, _ in parts)
-                return np.where(cdf == 0.0, np.nan, self._pdf(parts) / cdf)
-            total, undefined = 0, False
-            for chf, haz in self._parts(x):
-                cdf = distribution(chf)
-                undefined = undefined | (cdf == 0.0)
-                total = total + density(chf, haz) / cdf
-            return np.where(undefined, np.nan, total)
+            return np.where(cdf == 0.0, np.nan, self._density(totals, rates) / cdf)
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
-        """Density of the system lifetime via the leave-one-out product rule."""
-        return self._pdf(self._parts(x))
+        """Density of the system lifetime: sf times the hazard, or cdf times the reversed hazard."""
+        return self._density(*self._sums(x))
 
 
 @dataclass(frozen=True)
@@ -218,26 +227,11 @@ class SystemSpec:
         return _match(x, out)
 
     def pdf(self, x):
-        """Density of the system lifetime via the leave-one-out product rule."""
+        """Density of the system lifetime: sf times the hazard, or cdf times the reversed hazard."""
         return self._evaluate("pdf", x)
 
     # assigned, not inherited: see models._derive_evaluators
     support_upper = _Derived.support_upper
-
-
-def _leave_one_out_products(factors: list[np.ndarray]) -> list[np.ndarray]:
-    """For factors v_1..v_n, return products of all v_j with j != i."""
-    n = len(factors)
-    if n == 1:
-        return [np.ones_like(factors[0])]
-    prefix = [np.ones_like(factors[0])]
-    for v in factors[:-1]:
-        prefix.append(prefix[-1] * v)
-    suffix = [np.ones_like(factors[0])]
-    for v in reversed(factors[1:]):
-        suffix.append(suffix[-1] * v)
-    suffix.reverse()
-    return [prefix[i] * suffix[i] for i in range(n)]
 
 
 def lambda_aggregate_sf(lam, alpha: float, beta: float, x):

@@ -56,6 +56,16 @@ class TestScenarioBatches:
             with pytest.raises(ValueError, match="grid_count must be at least 16"):
                 TheoremScenario("T3.1", grid_count=grid_count)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            TheoremScenario("T3.1", seed=seed)
+
+    def test_numpy_integer_seed_runs_as_its_int(self):
+        a = run_scenario(TheoremScenario("T3.2", count=2, seed=np.int64(7)))
+        b = run_scenario(TheoremScenario("T3.2", count=2, seed=7))
+        assert a.worst_margin == b.worst_margin and a.summary_lines() == b.summary_lines()
+
 
 # (passed, repr(worst_margin)) for every scenario at count 40, seed 0
 GOLDEN_40 = {

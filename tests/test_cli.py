@@ -140,6 +140,50 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "--config", EXAMPLE1, "--grid", "8")
         assert code == 2 and "--grid" in err
 
+    # (exit code, holds, grid, truncated) of configs/example1.json as given and
+    # made parallel, near the lower edge of float range and far into the tail;
+    # evaluations that move only the last bits keep every row
+    @pytest.mark.parametrize("structure, xmax, order, code, verdict", [
+        ("series", "1e-107", "st", 0, ("true", 2048, "false")),
+        ("series", "1e-107", "hr", 0, ("true", 2048, "false")),
+        ("series", "1e-107", "rh", 3, ("false", 610, "true")),
+        ("series", "1e-107", "lr", 0, ("true", 2047, "false")),
+        ("series", "1e-56", "st", 0, ("true", 2048, "false")),
+        ("series", "1e-56", "hr", 0, ("true", 2048, "false")),
+        ("series", "1e-56", "rh", 0, ("true", 2048, "false")),
+        ("series", "1e-56", "lr", 0, ("true", 2047, "false")),
+        ("series", "50", "st", 0, ("true", 2048, "false")),
+        ("series", "50", "hr", 0, ("true", 2048, "false")),
+        ("series", "50", "rh", 3, ("false", 2048, "false")),
+        ("series", "50", "lr", 3, ("false", 1109, "true")),
+        ("parallel", "1e-107", "st", 0, ("true", 2048, "false")),
+        ("parallel", "1e-107", "hr", 0, ("true", 2048, "false")),
+        ("parallel", "1e-107", "rh", 3, ("false", 550, "true")),
+        # no grid point has a finite lr slack
+        ("parallel", "1e-107", "lr", 2, None),
+        ("parallel", "1e-56", "st", 0, ("true", 2048, "false")),
+        ("parallel", "1e-56", "hr", 0, ("true", 2048, "false")),
+        ("parallel", "1e-56", "rh", 0, ("true", 2048, "false")),
+        ("parallel", "1e-56", "lr", 0, ("true", 2047, "false")),
+        ("parallel", "50", "st", 3, ("false", 2048, "false")),
+        ("parallel", "50", "hr", 3, ("false", 1166, "true")),
+        ("parallel", "50", "rh", 3, ("false", 2048, "false")),
+        ("parallel", "50", "lr", 3, ("false", 1165, "true")),
+    ])
+    def test_verdict_table(self, capsys, tmp_path, structure, xmax, order, code, verdict):
+        doc = json.load(open(EXAMPLE1))
+        doc["first"]["structure"] = doc["second"]["structure"] = structure
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        got, out, _ = run(capsys, "compare", "--config", str(cfg), "--order", order,
+                          "--xmax", xmax, "--out", str(tmp_path))
+        assert got == code
+        if verdict is not None:
+            holds, grid, truncated = verdict
+            lines = out.splitlines()
+            assert f"holds: {holds}" in lines and f"grid: {grid}" in lines
+            assert f"truncated: {truncated}" in lines
+
 
 class TestInputChecks:
     # the numeric checks run before the command does anything
@@ -346,12 +390,12 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("config, order, digest", [
         (EXAMPLE1, "st", "1de7ce06e3090ac51d1c19788c04257a48155e5c2144a0f39fda0db93bd20311"),
         (EXAMPLE1, "hr", "eccbce122b275773f667e56fa7bdc6ab43f7e05ec5efed2705243aa12477707c"),
-        (EXAMPLE1, "rh", "8e5428a8921d9051e39f6cc34cc911817a6f6afa02a7b50ecfcd20d452078581"),
-        (EXAMPLE1, "lr", "3f6486434f002e615ada745be05bd7d9b58048495cfb71f9501bf61c40333c05"),
+        (EXAMPLE1, "rh", "97e6a79af181ff4a5d37c25960dcc19830b38a38abde4dba5cf3ae4f700e58b7"),
+        (EXAMPLE1, "lr", "30ecc7c4153546dccfce09ff12acd20c80d9888db79d22646d834dde058a1355"),
         (EXAMPLE2, "st", "72e11a462de40393af81f1440841cfae9ce7e6b3ea0548669b77fd140b2ff9c1"),
         (EXAMPLE2, "hr", "87850b7032065d5052d9dc82eee464423bd276ff54176d0ea9076f28050266b7"),
-        (EXAMPLE2, "rh", "918048aefc1a7f6b3ea69a6db21b3fe138d0b79a4388ed310efcdc8382986366"),
-        (EXAMPLE2, "lr", "0a0e8acd8a1c1462f4df1b3c884e1793ef23e8e4e3500f9639d4dea3b4a0acfc"),
+        (EXAMPLE2, "rh", "c9a201715497cb387e46b84a4a7d9fefe902f299a4ae0b59b6b4b58ac7800a2f"),
+        (EXAMPLE2, "lr", "5b2b57bc46ab36df77d7049a96054a368579114ac6575e081b808ad68d6f3d1e"),
     ])
     def test_compare_curves(self, capsys, tmp_path, config, order, digest):
         run(capsys, "compare", "--config", config, "--order", order, "--out", str(tmp_path))
@@ -367,12 +411,12 @@ class TestGoldenBytes:
         text = (tmp_path / "compare_curve.csv").read_text()
         assert "inf" in text and "nan" in text
         assert sha256(tmp_path / "compare_curve.csv") == \
-            "c20d426877a70ec70e7518eff016f646b90b2a2d6c0c0c99db58d1d50b78badd"
+            "8dd845df2610c610eea35bfee06b2ad3b7290f5d2626cb33989edf964e2ed9dd"
 
     @pytest.mark.parametrize("order, xmax, grid, margin, digest", [
         # both densities underflow to 0 on the upper part of the grid
-        ("lr", "50", 1109, "-0.00010144994709160304",
-         "6a6517942c647d22b92b3c3bfb6af2a995bb8a137e48bc759da5ba5ea8f2e1b0"),
+        ("lr", "50", 1109, "-0.00010144994709154753",
+         "a7e72f1417b043a5fbcb7719d06a9be8d50d1117d9eb9dc3353f9422b36f2072"),
         # both cdfs are 0 on the lower part of the grid
         ("rh", "1e-107", 610, "-3.269304598166579e+108",
          "d1ed4be35f634e952e230d492614111f1ce629b5b95a5d1f093e07a35b5cb9c2"),

@@ -17,6 +17,7 @@ from stochord import (
     SystemSpec,
     WeibullG,
     lambda_aggregate_sf,
+    systems,
 )
 from stochord.models import _FAMILIES, EXPONENTIAL_STANDARD, _support_upper
 from stochord.systems import SystemStack
@@ -319,6 +320,39 @@ class TestBatchedEvaluation:
         xs = np.linspace(0.05, 1.5, 25)
         assert np.array_equal(system.sf(xs), _loop_series_sf(system, xs))
         assert np.array_equal(system.hazard(xs), _loop_series_hazard(system, xs))
+
+    # calls per component of the cumulative hazard and hazard kernels, and
+    # whether the log cdfs are taken: each quantity reads a kernel at most
+    # once and only if its sums need it
+    @pytest.mark.parametrize("structure, quantity, chf, hazard, log_cdf", [
+        ("series", "sf", 1, 0, 0),
+        ("series", "cdf", 1, 0, 0),
+        ("series", "hazard", 0, 1, 0),
+        ("series", "reversed_hazard", 1, 1, 0),
+        ("series", "pdf", 1, 1, 0),
+        ("parallel", "sf", 1, 0, 1),
+        ("parallel", "cdf", 1, 0, 1),
+        ("parallel", "hazard", 1, 1, 1),
+        ("parallel", "reversed_hazard", 1, 1, 0),
+        ("parallel", "pdf", 1, 1, 1),
+    ])
+    def test_each_quantity_evaluates_only_the_kernels_it_reads(
+            self, monkeypatch, structure, quantity, chf, hazard, log_cdf):
+        parts = (WeibullG(1.5, 2.0, 0.8), GompertzMakeham(0.7, 1.1, 0.3), WeibullG(0.4, 3.0, 1.2))
+        stack = _stack([SystemSpec(parts, structure)])
+        calls = {"chf": 0, "hazard": 0, "log_cdf": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        stack._columns = [(counted("chf", c), counted("hazard", h), args)
+                          for c, h, args in stack._columns]
+        monkeypatch.setattr(systems, "log1mexp", counted("log_cdf", systems.log1mexp))
+        getattr(stack, quantity)(np.linspace(0.1, 2.0, 9)[None])
+        assert calls == {"chf": 3 * chf, "hazard": 3 * hazard, "log_cdf": 3 * log_cdf}
 
     def test_component_stack_needs_a_known_family(self):
         with pytest.raises(TypeError):
