@@ -53,7 +53,9 @@ A scenario runs as one batch, in three phases:
    the tail points of a draw's tail systems (both ends of a chain, both
    systems of a pair, only the first of T4.4's three), in one row-wise
    tail search per component count: each row is one tail system,
-   evaluated on one stack of (S, 3, n) parameter arrays.
+   evaluated on one stack of (S, 3, n) parameter arrays, and starts from
+   its closed-form bracket (``SystemStack.tail_brackets``), which the
+   first sf call checks for every row at once.
 3. Build every draw's grid row in one ``grid_points`` call, then
    certify: draws of one component count are taken in blocks of at most
    8 systems (at the default 2048 grid points), each system is evaluated
@@ -102,6 +104,12 @@ _DYADIC = 2.0**20
 _SLAB_CELLS = 1 << 14
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, but not a bool, which is an int too: a
+    float would size the batch or seed its streams as its integer part."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TheoremScenario:
     """One bench configuration: a claim id plus batch controls."""
@@ -115,11 +123,12 @@ class TheoremScenario:
         if self.scenario_id not in _SCENARIOS:
             raise ValueError(f"unknown scenario id {self.scenario_id!r}; "
                              f"known ids: {', '.join(SCENARIO_IDS)}")
+        for name in ("count", "grid_count"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.count < 1:
             raise ValueError("count must be at least 1")
-        # a float would seed the streams as its integer part; a bool is an int
-        integer = isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
-        if not (integer and self.seed >= 0):
+        if not (_is_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.grid_count < _MIN_GRID:
             raise ValueError(f"grid_count must be at least {_MIN_GRID}, got {self.grid_count}")
@@ -420,7 +429,7 @@ def _grid_ends(spec: _Scenario, draws: list[_Draw], groups: list[list[int]]) -> 
         tails = [[draws[k].systems[i] for i in draws[k].tail] for k in ks]
         sizes = [len(t) for t in tails]
         stack = _stack(spec.family, spec.structure, [p for t in tails for p in t])
-        ends = _support_upper(stack.sf, _TAIL, rows=sum(sizes))
+        ends = _support_upper(stack.sf, _TAIL, rows=sum(sizes), bracket=stack.tail_brackets(_TAIL))
         x_max[ks] = np.maximum.reduceat(ends, np.cumsum([0] + sizes[:-1]))
     return x_max
 

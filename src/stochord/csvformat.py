@@ -21,7 +21,10 @@ decision within ``_GUARD`` of an interval end or of a tie goes to
 ``repr`` instead, as do non-finite values, zeros, exact powers of two
 (whose lower gap is half the upper one) and ``|v|`` outside
 [1e-280, 1e280] (which covers subnormals and keeps the two-product clear
-of overflow).
+of overflow). A curve repeats some of these thousands of times (a
+survival of exactly 1.0, a slack of 0.0), so ``repr`` formats each
+distinct bit pattern once and its text is copied to every field that
+holds it.
 
 Fields are laid out without per-value Python, in cells of uint64 words
 where every piece has a fixed place and the bytes a field does not use
@@ -241,10 +244,13 @@ def _float_cells(values: np.ndarray, cells: np.ndarray) -> None:
                        | xword[cell] << (np.uint64(32) + np.uint64(8) * three))
     slow = np.flatnonzero(~ok)
     if slow.size:
-        reprs = [repr(float(v)).encode("ascii") for v in values[slow]]
+        # each bit pattern once: zeros, ones and inf repeat down whole curves,
+        # and the int64 view keeps 0.0 and -0.0 apart
+        bits, where = np.unique(values[slow].view(np.int64), return_inverse=True)
+        reprs = [repr(v).encode("ascii") for v in bits.view(np.float64).tolist()]
         row, column = np.divmod(slow, columns)
-        cells.view(np.uint8)[row, column, :_TEXT] = np.array(reprs, dtype=f"S{_TEXT}").view(
-            np.uint8).reshape(slow.size, _TEXT)
+        cells.view(np.uint8)[row, column, :_TEXT] = np.array(reprs, dtype=f"S{_TEXT}")[
+            where.ravel()].view(np.uint8).reshape(slow.size, _TEXT)
 
 
 def _index_cells(first: int, cells: np.ndarray) -> None:

@@ -60,6 +60,12 @@ _TAIL_SCALE = np.concatenate((np.zeros(63), 1.0 - _TAIL_HALVES, 1.0 - _TAIL_HALV
 _TAIL_SHIFT = np.concatenate((np.arange(1, 64) / 64.0, np.zeros(32), _TAIL_HALVES))
 _TAIL_PROBES = np.power(2.0, np.arange(-20, 61, dtype=float))
 _TAIL_ENDS = np.concatenate(([0.0], _TAIL_PROBES))
+# the factors that widen a closed-form tail bracket's lower and upper end
+# by 1e-9 relative, and the share of the level each Gompertz-Makeham term
+# takes at those ends
+_BRACKET_WIDENING = np.array([1.0 - 1e-9, 1.0 + 1e-9])[:, None, None]
+_GM_SHARES = np.array([0.5, 1.0])[:, None, None]
+_TINY = 2.0**-1022  # the smallest normal float
 
 BASELINE_KINDS = ("exponential-standard", "user-supplied")
 
@@ -90,16 +96,16 @@ def log1mexp(h: np.ndarray) -> np.ndarray:
     for h <= log 2, where 1 - e^{-h} is small, and log1p(-exp(-h)) above
     it, where e^{-h} is small and log(-expm1(-h)) would round to 0. See
     M. Mächler, "Accurately Computing log(1 - exp(-|a|))", Rmpfr vignette,
-    2012.
+    2012. The log of a zero cdf is -inf, with a divide-by-zero flag that
+    the caller's ``np.errstate`` ignores.
     """
-    with np.errstate(divide="ignore"):
-        out = np.negative(h)
-        np.exp(out, out=out)
-        np.negative(out, out=out)
-        np.log1p(out, out=out)
-        small = h <= _LOG_2
-        if small.any():
-            out[small] = np.log(-np.expm1(-h[small]))
+    out = np.negative(h)
+    np.exp(out, out=out)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    small = h <= _LOG_2
+    if small.any():
+        out[small] = np.log(-np.expm1(-h[small]))
     return out
 
 
@@ -135,8 +141,7 @@ def distribution(chf: np.ndarray) -> np.ndarray:
 def density(chf: np.ndarray, hazard: np.ndarray) -> np.ndarray:
     """pdf = r(x) sf(x); zero once the survival underflows."""
     sf = np.exp(-chf)
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.where(sf > 0.0, hazard * sf, 0.0)
+    return np.where(sf > 0.0, hazard * sf, 0.0)
 
 
 # Broadcasting kernels. Points and parameters broadcast against each other:
@@ -144,13 +149,18 @@ def density(chf: np.ndarray, hazard: np.ndarray) -> np.ndarray:
 # columns against (S, m) points. Both evaluate the same expression
 # elementwise, so every row of a batch is bit-identical to the single
 # evaluation.
+#
+# The kernels, log1mexp and density open no np.errstate, which costs about
+# as much as a kernel call on a few points. A Weibull-G cumulative hazard
+# may overflow to inf, its hazard divide by a zero odds, a log cdf be -inf
+# and density form inf * 0 where it masks the product; each caller ignores
+# those flags in one errstate around all of its kernel calls.
 
 
 def wg_cumulative_hazard(x, alpha, beta, gamma, baseline: Baseline) -> np.ndarray:
     """Weibull-G H(x) = alpha * w(gamma x)**beta."""
     w = baseline.w(np.minimum(gamma * x, _EXP_ARG_MAX))
-    with np.errstate(over="ignore"):
-        return alpha * _power(w, beta)
+    return alpha * _power(w, beta)
 
 
 def wg_hazard(x, alpha, beta, gamma, baseline: Baseline) -> np.ndarray:
@@ -158,8 +168,7 @@ def wg_hazard(x, alpha, beta, gamma, baseline: Baseline) -> np.ndarray:
     t = np.minimum(gamma * x, _EXP_ARG_MAX)
     w = baseline.w(t)
     d1 = baseline.d1(t)
-    with np.errstate(divide="ignore", over="ignore"):
-        return alpha * beta * gamma * _power(w, beta - 1.0) * d1
+    return alpha * beta * gamma * _power(w, beta - 1.0) * d1
 
 
 def gm_cumulative_hazard(x, alpha, beta, lam) -> np.ndarray:
@@ -245,13 +254,17 @@ class _Derived:
 
     def log_cdf(self, x):
         """log F(x), with relative precision in both tails (see log1mexp)."""
-        return _match(x, log1mexp(np.asarray(self.cumulative_hazard(_as_array(x)))))
+        chf = np.asarray(self.cumulative_hazard(_as_array(x)))
+        with np.errstate(divide="ignore"):
+            return _match(x, log1mexp(chf))
 
     def pdf(self, x):
         """Density, as hazard times survival; zero once survival underflows."""
         xa = _as_array(x)
         chf = np.asarray(self.cumulative_hazard(xa))
-        return _match(x, density(chf, np.asarray(self.hazard(xa))))
+        hazard = np.asarray(self.hazard(xa))
+        with np.errstate(invalid="ignore", over="ignore"):
+            return _match(x, density(chf, hazard))
 
     def reversed_hazard(self, x):
         """pdf(x) / cdf(x), both from one H(x); undefined where the cdf is zero."""
@@ -262,11 +275,25 @@ class _Derived:
             raise EvaluationDomainError(
                 "reversed hazard undefined where cdf(x) = 0; evaluate at x > 0"
             )
-        return _match(x, density(chf, np.asarray(self.hazard(xa))) / cdf)
+        hazard = np.asarray(self.hazard(xa))
+        with np.errstate(invalid="ignore", over="ignore"):
+            pdf = density(chf, hazard)
+        return _match(x, pdf / cdf)
 
     def support_upper(self, tail: float = _TAIL) -> float:
-        """Smallest bracketing x with sf(x) <= tail."""
-        return float(_support_upper(self.sf, tail)[0])
+        """Smallest x with sf(x) <= tail, searched from the closed-form bracket."""
+        return float(_support_upper(self.sf, tail, bracket=self._tail_bracket(tail))[0])
+
+    def _tail_bracket(self, tail: float) -> np.ndarray:
+        """The (1, 2) closed-form bracket of this lifetime's tail point, as a
+        series system of one component (see _tail_brackets)."""
+        if type(self) not in _FAMILIES:
+            # a subclass may evaluate another law than its parameters give
+            return np.full((1, 2), np.inf)
+        names = _FAMILIES[type(self)][0]
+        params = np.array([[[getattr(self, name)] for name in names]], dtype=float)
+        kind = (type(self), getattr(self, "baseline", EXPONENTIAL_STANDARD))
+        return _tail_brackets([kind], params, "series", tail)
 
 
 def _derive_evaluators(cls: type) -> type:
@@ -314,12 +341,16 @@ class WeibullG:
 
     def cumulative_hazard(self, x):
         """H(x) = alpha * w(gamma x)**beta, the negative log survival."""
-        out = wg_cumulative_hazard(_as_array(x), self.alpha, self.beta, self.gamma, self.baseline)
+        xa = _as_array(x)
+        with np.errstate(over="ignore"):
+            out = wg_cumulative_hazard(xa, self.alpha, self.beta, self.gamma, self.baseline)
         return _match(x, out)
 
     def hazard(self, x):
         """r(x) = alpha beta gamma w(gamma x)**(beta-1) w'(gamma x)."""
-        out = wg_hazard(_as_array(x), self.alpha, self.beta, self.gamma, self.baseline)
+        xa = _as_array(x)
+        with np.errstate(divide="ignore", over="ignore"):
+            out = wg_hazard(xa, self.alpha, self.beta, self.gamma, self.baseline)
         return _match(x, out)
 
     def quantile(self, u):
@@ -455,51 +486,140 @@ def _invert_cdf(cdf: Callable, u: np.ndarray) -> np.ndarray:
     return x
 
 
-def _support_upper(sf: Callable, tail: float, rows: int = 1) -> np.ndarray:
+def _tail_brackets(kinds, params: np.ndarray, structure: str, tail: float) -> np.ndarray:
+    """Closed-form brackets [lo, hi] of S systems' tail points, as an (S, 2) array.
+
+    ``kinds`` and the (S, 3, n) ``params`` describe the systems as for
+    ``systems.SystemStack``; a single lifetime is a series system of one.
+    With L = -log(tail), the cumulative hazard of component i reaches a
+    level y at a point between lo_i(y) and hi_i(y):
+
+    * Weibull-G on the exponential baseline: both are the exact inverse
+      log1p((y / alpha)**(1 / beta)) / gamma, as in ``WeibullG.quantile``;
+    * Gompertz-Makeham: hi_i(y) = min(y / lambda, log1p(y beta / alpha) / beta),
+      where one of H's two terms alone reaches y (``GompertzMakeham.quantile``
+      starts its Newton iteration there), and
+      lo_i(y) = min(y / (2 lambda), log1p(y beta / (2 alpha)) / beta), where
+      each term is at most y / 2.
+
+    A series sf is the product of the component sfs, so the tail point lies
+    in [min_i lo_i(L / n), min_i hi_i(L)]: below the first end every factor
+    is above tail**(1/n), and at the second one factor is at or below the
+    tail. A parallel cdf is the product of the component cdfs, so it lies
+    in [max_i lo_i(L), max_i hi_i(L + log n)]: below the first end one
+    component sf is above the tail, and at the second every component cdf
+    is at least 1 - tail / n, whose n-th power is at least 1 - tail.
+
+    Each end is widened by 1e-9 relative, so rounding cannot put it on the
+    wrong side. A subnormal result or step has lost that precision, so it
+    counts as 0, and a lower end of 0 is always below the tail point. An
+    upper end of 0 or past the kernels' exp clip at ``_EXP_ARG_MAX``, where
+    the clipped sf may stay above the tail, is inf. A user-supplied
+    baseline's odds have no closed-form inverse, so a system with one gets
+    [inf, inf]. A row with an end that is not finite has no bracket.
+    """
+    if any(baseline.kind != "exponential-standard" for family, baseline in kinds
+           if family is WeibullG):
+        return np.full((params.shape[0], 2), np.inf)
+    level = -math.log(tail)
+    n = len(kinds)
+    series = structure == "series"
+    # the levels of the lower and the upper ends, as a (2, 1, 1) column
+    y = np.array((level / n, level) if series else (level, level + math.log(n)))[:, None, None]
+    wg = [i for i, (family, _) in enumerate(kinds) if family is WeibullG]
+    gm = [i for i in range(n) if i not in wg]
+    # a family with every column indexes them by a slice, which is a view
+    wg, gm = (slice(None) if len(cols) == n else cols for cols in (wg, gm))
+    # each component's lower and upper end, (2, S, n)
+    ends = np.empty((2,) + params[:, 0].shape)
+    # the rate inside each component's clipped exp: gamma, or beta
+    rate = params[:, 1].copy()
+
+    def normal(a):
+        return np.where(a < _TINY, 0.0, a)
+
+    with np.errstate(over="ignore"):
+        if wg:
+            alpha, beta, gamma = (params[:, k, wg] for k in range(3))
+            ends[:, :, wg] = np.log1p(normal(normal(y / alpha) ** (1.0 / beta))) / gamma
+            rate[:, wg] = gamma
+        if gm:
+            alpha, beta, lam = (params[:, k, gm] for k in range(3))
+            share = _GM_SHARES * y
+            ends[:, :, gm] = np.minimum(share / lam, np.log1p(normal(share * beta / alpha)) / beta)
+        ends *= _BRACKET_WIDENING
+        lo, hi = ends
+        lo[lo < _TINY] = 0.0
+        hi[(hi < _TINY) | (rate * hi > _EXP_ARG_MAX)] = np.inf
+    return (ends.min(axis=2) if series else ends.max(axis=2)).T
+
+
+def _support_upper(sf: Callable, tail: float, rows: int = 1,
+                   bracket: np.ndarray | None = None) -> np.ndarray:
     """Smallest float x with sf(x) <= tail, row by row, for nonincreasing survivals.
 
     ``sf`` evaluates ``rows`` survival functions at once: it maps a
     (rows, m) array of points, row r for function r, to their survival
-    values. A single lifetime is a batch of one. Probes x = 2**-20, ...,
-    2**60 in one call to bracket each row's crossing between the last
-    probe above the tail and the first at or below it (or 0 and 2**-20,
-    taking sf(0) = 1 as for any lifetime). Each following round evaluates
-    sf on 127 interior points of every row's bracket [lo, hi] in one call;
-    hi becomes the first point at or below the tail and lo the point just
-    before it. 63 of the points are evenly spaced, so a bracket shrinks at
-    least 64-fold a round, which bounds a search from a power-of-two
-    bracket to 10 sf calls. The other 64 cluster on both sides of a secant
-    estimate of the crossing, at 2**-j, j = 1..32, of its distance to
-    either end: the estimate is where g(x) = log(-log sf(x)) meets
-    log(-log tail) on the line through g at lo and hi, taken from the sf
-    values the round before left at the bracket ends (the midpoint where g
-    is not finite there). In both families' tails log H is nearly linear
-    in x, so the estimate's error shrinks about quadratically and a search
-    takes 4 or 5 sf calls. A row whose bracket ends are adjacent floats
-    keeps them in later rounds, and the search stops when every row has
-    converged. The rows do not interact, so each row's result is the one
-    the search gives it alone; for a nonincreasing sf it is the unique
-    smallest float whose sf is at or below the tail, whichever points
-    found it.
+    values. A single lifetime is a batch of one.
+
+    The search starts from ``bracket``, a (rows, 2) array of [lo, hi] per
+    row such as ``_tail_brackets`` gives. The first sf call evaluates
+    every row at its two ends, and a row keeps its bracket when
+    sf(lo) > tail >= sf(hi). The other rows take the probe: those of a
+    system with a user-supplied baseline, which has no closed-form
+    bracket, those whose bracket has an end that is not finite or ends
+    past 2**60 or fails the check, and every row when ``bracket`` is None.
+    The probe, one call on x = 2**-20, ..., 2**60, brackets the crossing
+    between the last probe above the tail and the first at or below it
+    (or 0 and 2**-20, taking sf(0) = 1 as for any lifetime).
+
+    Each following round evaluates sf on 127 interior points of every
+    row's bracket [lo, hi] in one call; hi becomes the first point at or
+    below the tail and lo the point just before it. 63 of the points are
+    evenly spaced, so a bracket shrinks at least 64-fold a round, which
+    bounds a search from a power-of-two bracket to 10 sf calls. The other
+    64 cluster on both sides of a secant estimate of the crossing, at
+    2**-j, j = 1..32, of its distance to either end: the estimate is where
+    g(x) = log(-log sf(x)) meets log(-log tail) on the line through g at lo
+    and hi, taken from the sf values the round before left at the bracket
+    ends (the midpoint where g is not finite there). In both families'
+    tails log H is nearly linear in x, so the estimate's error shrinks
+    about quadratically and a search takes 4 or 5 sf calls from the
+    probe, one fewer from a closed-form bracket. A row whose bracket ends
+    are adjacent floats keeps them in later rounds, and the search stops
+    when every row has converged. The rows do not interact, so each row's
+    result is the one the search gives it alone; for a nonincreasing sf
+    it is the unique smallest float whose sf is at or below the tail,
+    whichever bracket and points found it.
 
     Returns an array of ``rows`` points x with
     sf(x) <= tail < sf(np.nextafter(x, 0)). Raises ConvergenceError if a
-    row's sf is still above the tail at 2**60.
+    probed row's sf is still above the tail at 2**60.
     """
     if not 0.0 < tail < 1.0:
         raise ValueError("tail probability must lie in (0, 1)")
-    probed = np.asarray(sf(np.broadcast_to(_TAIL_PROBES, (rows, _TAIL_PROBES.size))))
-    under = probed <= tail
-    if not bool(under.any(axis=1).all()):
-        raise ConvergenceError(f"sf never reached tail {tail!r} up to x = 2**60")
-    # a round's ends are lo, the interior points and hi, with their sf values
-    # (sf(0) = 1 before the probes); the first end at or below the tail is the
-    # new hi and the one before it the new lo
+    # the bracket ends of each row and their sf values
+    bracket = np.full((rows, 2), np.inf) if bracket is None else np.asarray(bracket, dtype=float)
+    ends_sf = np.ones((rows, 2))
+    kept = np.isfinite(bracket).all(axis=1) & (bracket[:, 1] <= _TAIL_PROBES[-1])
+    if kept.any():
+        ends_sf = np.asarray(sf(np.where(kept[:, None], bracket, 1.0)))
+        kept &= (ends_sf[:, 0] > tail) & (ends_sf[:, 1] <= tail)
     pair = np.arange(2)
-    ends = under.argmax(axis=1)[:, None] + pair
-    bracket = _TAIL_ENDS[ends]
-    values = np.concatenate((np.ones((rows, 1)), probed), axis=1)
-    ends_sf = values.ravel()[ends + np.arange(rows)[:, None] * values.shape[1]]
+    if not kept.all():
+        probed = np.asarray(sf(np.broadcast_to(_TAIL_PROBES, (rows, _TAIL_PROBES.size))))
+        under = probed <= tail
+        if not bool(under.any(axis=1)[~kept].all()):
+            raise ConvergenceError(f"sf never reached tail {tail!r} up to x = 2**60")
+        # the first probe at or below the tail is hi and the one before it lo
+        # (sf(0) = 1 before the probes)
+        ends = under.argmax(axis=1)[:, None] + pair
+        values = np.concatenate((np.ones((rows, 1)), probed), axis=1)
+        bracket = np.where(kept[:, None], bracket, _TAIL_ENDS[ends])
+        ends_sf = np.where(kept[:, None], ends_sf, np.take_along_axis(values, ends, axis=1))
+    # a round's ends are lo, the interior points and hi, with their sf values;
+    # the first end at or below the tail is the new hi and the one before it
+    # the new lo
     target = math.log(-math.log(tail))
     offsets = np.arange(rows)[:, None] * (_TAIL_SCALE.size + 2) + pair - 1
     with np.errstate(divide="ignore", invalid="ignore"):

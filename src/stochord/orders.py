@@ -28,6 +28,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import EvaluationDomainError
+from .models import _TAIL
 from .systems import SystemSpec
 
 ORDERS = ("st", "hr", "rh", "lr")
@@ -80,14 +81,40 @@ class Grid:
         x_max defaults to the largest of the given distributions' own
         tail points, support_upper() at the 1e-6 tail: the point where the
         pointwise maximum of their survival functions falls to the tail.
+        One distribution's tail is searched; each other one costs at most
+        one sf evaluation, and is searched too only where that sf is still
+        above the tail (see _largest_tail_point).
         """
         if x_max is None:
             if not dists:
                 raise ValueError("either distributions or x_max must be given")
-            x_max = max(d.support_upper() for d in dists)
+            x_max = _largest_tail_point(dists)
         if not np.isfinite(x_max) or x_max <= 0.0:
             raise ValueError(f"x_max must be positive and finite, got {x_max!r}")
         return cls(points=grid_points(x_max, count, span_decades))
+
+
+def _largest_tail_point(dists) -> float:
+    """max(d.support_upper() for d in dists), searching as few of them as it can.
+
+    The distributions are taken by the upper end of their closed-form tail
+    brackets (models._tail_brackets), highest first, and the first is
+    searched. Another one's tail point is at most the largest point x found
+    so far when its bracket ends at or below x, or else when its sf at x is
+    at or below the tail; it is searched only when neither holds. One
+    without a bracket is always searched: nothing closed-form is known of
+    its sf (a user-supplied baseline's need not fall monotonically), so one
+    value at or below the tail does not place its tail point.
+    """
+    highs = [float(d._tail_bracket(_TAIL)[0, 1]) for d in dists]
+    x_max = None
+    for k in sorted(range(len(dists)), key=highs.__getitem__, reverse=True):
+        d, high = dists[k], highs[k]
+        if x_max is not None and np.isfinite(high) and (high <= x_max or d.sf(x_max) <= _TAIL):
+            continue
+        x = d.support_upper()
+        x_max = x if x_max is None else max(x_max, x)
+    return x_max
 
 
 def grid_points(x_max, count: int = _DEFAULT_COUNT,

@@ -49,6 +49,7 @@ from .models import (
     _Derived,
     _family,
     _match,
+    _tail_brackets,
     density,
     distribution,
     log1mexp,
@@ -82,6 +83,7 @@ class SystemStack:
             raise ValueError(f"structure must be one of {STRUCTURES}, got {structure!r}")
         self.structure = structure
         params = np.asarray(params, dtype=float)
+        self._kinds, self._params = list(kinds), params
         self._columns = []
         for i, (family, baseline) in enumerate(kinds):
             _, chf, hazard = _family(family)
@@ -121,9 +123,15 @@ class SystemStack:
             rates = np.where(undefined, np.nan, rates)
         return (totals if total else None), (rates if rate else None)
 
+    def tail_brackets(self, tail: float) -> np.ndarray:
+        """Each system's closed-form bracket of its tail point, as an (S, 2)
+        array (see models._tail_brackets)."""
+        return _tail_brackets(self._kinds, self._params, self.structure, tail)
+
     def _density(self, totals: np.ndarray, rates: np.ndarray) -> np.ndarray:
         if self.structure == "series":
-            return density(totals, rates)
+            with np.errstate(invalid="ignore", over="ignore"):
+                return density(totals, rates)
         # F times the reversed-hazard sum, in log form so that a cdf that
         # underflows does not take the density with it
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -229,6 +237,9 @@ class SystemSpec:
     def pdf(self, x):
         """Density of the system lifetime: sf times the hazard, or cdf times the reversed hazard."""
         return self._evaluate("pdf", x)
+
+    def _tail_bracket(self, tail: float) -> np.ndarray:
+        return self._stack.tail_brackets(tail)
 
     # assigned, not inherited: see models._derive_evaluators
     support_upper = _Derived.support_upper

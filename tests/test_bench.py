@@ -61,6 +61,15 @@ class TestScenarioBatches:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             TheoremScenario("T3.1", seed=seed)
 
+    # a float count or grid size used to fail inside the batch with a bare
+    # TypeError, and count=True ran one instance reported as "1/True"
+    @pytest.mark.parametrize("field, value", [
+        ("count", 2.5), ("count", True), ("grid_count", 100.5), ("grid_count", True),
+    ])
+    def test_count_and_grid_count_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TheoremScenario("T3.1", **{field: value})
+
     def test_numpy_integer_seed_runs_as_its_int(self):
         a = run_scenario(TheoremScenario("T3.2", count=2, seed=np.int64(7)))
         b = run_scenario(TheoremScenario("T3.2", count=2, seed=7))

@@ -68,6 +68,20 @@ def test_edge_values():
     assert fields(values) == reprs(values)
 
 
+def test_repeated_special_values_in_a_full_chunk():
+    # values formatted by repr, thousands of times each across one chunk's
+    # four columns, interleaved with values the fast path takes
+    specials = [0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, math.nan, 5e-324]
+    rng = np.random.default_rng(8192)
+    values = rng.normal(scale=10.0 ** rng.integers(-8, 9, size=4 * CHUNK_ROWS))
+    picks = rng.integers(0, len(specials) + 1, size=values.size)
+    special = picks < len(specials)
+    values[special] = np.array(specials)[picks[special]]
+    columns = list(values.reshape(4, CHUNK_ROWS))
+    assert b"".join(csv_chunks(columns)) == reference_rows(columns)
+    assert fields(values) == reprs(values)
+
+
 @pytest.mark.parametrize("rows", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 100_000])
 @pytest.mark.parametrize("index", [False, True])
 def test_whole_file_matches_per_value_writer(tmp_path, rows, index):

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from stochord import (
     ORDERS,
+    Baseline,
     EvaluationDomainError,
     GompertzMakeham,
     Grid,
@@ -181,10 +182,19 @@ def _system_pairs(draw, structures=("parallel",)):
     return f, g
 
 
+# the standard exponential through Baseline.user_supplied: its odds have no
+# closed-form inverse, so a lifetime with it has no tail bracket
+_USER_EXPONENTIAL = Baseline.user_supplied(lambda t: -np.expm1(-t), lambda t: np.exp(-t))
+_USER_WG_COMPONENT = st.builds(WeibullG, st.floats(0.1, 5.0), st.floats(0.3, 5.0),
+                               st.floats(0.3, 5.0), st.just(_USER_EXPONENTIAL))
+_COMPONENTS = [_WG_COMPONENT, _GM_COMPONENT, _USER_WG_COMPONENT]
+
+
 @st.composite
 def _distributions(draw):
-    """A bare model, or a series or parallel system of 1-8 components of one family."""
-    component = draw(st.sampled_from([_WG_COMPONENT, _GM_COMPONENT]))
+    """A bare model, or a series or parallel system of 1-8 components of one
+    kind or of mixed kinds; a Weibull-G may take a user-supplied baseline."""
+    component = draw(st.sampled_from(_COMPONENTS + [st.one_of(_COMPONENTS)]))
     structure = draw(st.sampled_from([None, *STRUCTURES]))
     if structure is None:
         return draw(component)

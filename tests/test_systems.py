@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from stochord import (
+    ConvergenceError,
     EvaluationDomainError,
     GompertzMakeham,
     SystemSpec,
@@ -359,7 +360,45 @@ class TestBatchedEvaluation:
             SystemStack("series", [(object, EXPONENTIAL_STANDARD)], np.ones((1, 3, 1)))
 
 
+# parameters across [1e-3, 1e3]
+_WIDE = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _wide_batches(draw):
+    """1 to 4 systems of one structure with the same 1 to 8 component
+    families, mixed or not, and parameters across [1e-3, 1e3]."""
+    structure = draw(st.sampled_from(["series", "parallel"]))
+    families = draw(st.lists(st.sampled_from([WeibullG, GompertzMakeham]),
+                             min_size=1, max_size=8))
+    return [SystemSpec(tuple(f(draw(_WIDE), draw(_WIDE), draw(_WIDE)) for f in families),
+                       structure)
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+def _search(sf, tail, rows, bracket=None):
+    """The tail points of a batch, or None where the search raises ConvergenceError."""
+    try:
+        return _support_upper(sf, tail, rows=rows, bracket=bracket)
+    except ConvergenceError:
+        return None
+
+
 class TestBatchedTailSearch:
+    @given(_wide_batches(), st.sampled_from([1e-6, 1e-12]))
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_brackets_hold_and_give_the_probe_points(self, systems, tail):
+        stack = _stack(systems)
+        bracket = stack.tail_brackets(tail)
+        kept = np.isfinite(bracket).all(axis=1)
+        lo_sf, hi_sf = stack.sf(np.where(kept[:, None], bracket, 1.0)).T
+        assert np.all(lo_sf[kept] > tail) and np.all(hi_sf[kept] <= tail)
+        # without a bracket every row takes the power-of-two probe
+        probed = _search(stack.sf, tail, len(systems))
+        bracketed = _search(stack.sf, tail, len(systems), bracket)
+        assert (probed is None) == (bracketed is None)
+        assert probed is None or np.array_equal(bracketed, probed)
+
     @given(_batches(), st.sampled_from([1e-6, 1e-12]))
     @settings(max_examples=150, deadline=None)
     def test_every_row_brackets_and_equals_a_batch_of_one(self, systems, tail):
